@@ -19,7 +19,7 @@ from typing import Optional
 import mpmath as mp
 
 from .polyring import IntPoly
-from .coxeter import en_from_formula, euler_phi, salem_factor, salem_trace
+from .coxeter import en_from_formula, euler_phi, salem_factor
 from .mcmullen import (IntegralityCertificate, NoSiegelRoot,
                        integrality_certificate, mcmullen_data)
 from .roots import GUARD_BITS, ComplexBall, RealBall
@@ -34,7 +34,7 @@ class PrecisionTooLow(RuntimeError):
 
 
 class DegreeCertificateFailure(RuntimeError):
-    """deg r disagrees with the prime q = 180k + 7 for the chosen k."""
+    """deg phi (= 2 deg r) is not 2q, q = 180k + 7, for the chosen k."""
 
 
 class WitnessFailure(RuntimeError):
@@ -115,46 +115,59 @@ def dk_prime_search(k_min: int, count: int, scan_cap: int = 1_000_000) -> list[i
 # -- exact-integer LLL over the scaled-argument lattice -----------------
 
 
-def _gram_schmidt(basis: list[list[int]]):
-    """mu[i][j] and squared norms B[i] of the orthogonalization, exact."""
-    n = len(basis)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    bstar: list[list[Fraction]] = []
-    b_norms: list[Fraction] = []
-    for i in range(n):
-        v = [Fraction(x) for x in basis[i]]
-        for j in range(i):
-            num = sum(Fraction(x) * y for x, y in zip(basis[i], bstar[j]))
-            mu[i][j] = num / b_norms[j]
-            v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
-        bstar.append(v)
-        b_norms.append(sum(x * x for x in v))
-    return mu, b_norms
-
-
 def lll_reduce(rows: list[list[int]],
                delta: Fraction = Fraction(99, 100)) -> tuple[list[list[int]], list[Fraction]]:
-    """Integer LLL with exact rational Gram-Schmidt; returns (basis, B*)."""
+    """Integral LLL (Cohen, Alg. 2.6.7); returns (basis, B*).
+
+    Keeps d[i] = det Gram(b_0..b_{i-1}) and lam[i][j] = d[j+1] mu[i][j],
+    both integers, and updates them in place under size reduction and
+    swaps.  Row k is fully size-reduced before its Lovasz test, and mu is
+    rounded half to even, so the reduced basis is the one a Gram-Schmidt
+    recomputation after every step would give.  B*_i = d[i+1] / d[i].
+    """
     if not Fraction(3, 4) <= delta < 1:
         raise ValueError("delta must lie in [3/4, 1)")
     b = [[int(x) for x in row] for row in rows]
     n = len(b)
-    mu, bn = _gram_schmidt(b)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for l in range(j):
+                u = (d[l + 1] * u - lam[i][l] * lam[j][l]) // d[l]
+            if j < i:
+                lam[i][j] = u
+            elif u == 0:
+                raise ValueError("lattice rows are linearly dependent")
+            else:
+                d[i + 1] = u
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = round(Fraction(lam[k][j], d[j + 1]))
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                mu, bn = _gram_schmidt(b)
-        # Lovasz condition, exact rationals throughout
-        if bn[k] >= (delta - mu[k][k - 1] ** 2) * bn[k - 1]:
+                lam[k][j] -= q * d[j + 1]
+                for l in range(j):
+                    lam[k][l] -= q * lam[j][l]
+        # Lovasz condition B_k >= (delta - mu^2) B_{k-1}, times d[k] d[k-1]
+        lk = lam[k][k - 1]
+        if (delta.denominator * (d[k + 1] * d[k - 1] + lk * lk)
+                >= delta.numerator * d[k] * d[k]):
             k += 1
-        else:
-            b[k - 1], b[k] = b[k], b[k - 1]
-            mu, bn = _gram_schmidt(b)
-            k = max(k - 1, 1)
-    return b, bn
+            continue
+        b[k - 1], b[k] = b[k], b[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        new_dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (new_dk * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = new_dk
+        k = max(k - 1, 1)
+    return b, [Fraction(d[i + 1], d[i]) for i in range(n)]
 
 
 # -- relation search ----------------------------------------------------
@@ -208,6 +221,9 @@ class RelationReport:
 def _as_argument_ball(x) -> RealBall:
     if isinstance(x, RealBall):
         return x
+    if isinstance(x, mp.mpf):
+        # an exact binary number: kept at its own precision, radius 0
+        return RealBall(x, mp.mpf(0))
     if isinstance(x, Fraction):
         return RealBall(mp.mpf(x.numerator) / x.denominator, mp.mpf(0))
     return RealBall(mp.mpf(x), mp.mpf(0))
@@ -436,8 +452,8 @@ def mau_extend(seq: MAUSequence, precision_bits: int = 512,
     """Append the (alpha, beta) pair of the next admissible prime degree.
 
     Selects the smallest k with q = 180k + 7 prime and q > seq.degree_bound,
-    verifies deg phi = 360k + 14 and deg r = q exactly, certifies one Siegel
-    and one non-Siegel root, and re-runs the joint relation audit.
+    verifies deg phi = 360k + 14 (so deg r = deg phi / 2 = q), certifies
+    one Siegel and one non-Siegel root, and re-runs the joint relation audit.
     """
     k = 1
     while True:
@@ -458,9 +474,9 @@ def mau_extend(seq: MAUSequence, precision_bits: int = 512,
     if phi.degree != n - 5:
         raise DegreeCertificateFailure(
             f"deg phi = {phi.degree}, expected {n - 5} for k={k}")
-    r = salem_trace(phi)
-    if r.degree != q:
-        raise DegreeCertificateFailure(f"deg r = {r.degree} != q = {q}")
+    # phi is monic reciprocal of even degree (salem_factor checks it), so
+    # its trace polynomial r has degree deg phi / 2 = (n - 5) / 2 = q
+    deg_r = phi.degree // 2
 
     try:
         data = mcmullen_data(n, precision_bits=precision_bits)
@@ -474,7 +490,7 @@ def mau_extend(seq: MAUSequence, precision_bits: int = 512,
         k=k, n=n, q=q, primality_witness=witness,
         degree_bound_before=seq.degree_bound,
         q_exceeds_bound=q > seq.degree_bound,
-        deg_phi=phi.degree, deg_r=r.degree, cyclotomic_degree=cyc_deg,
+        deg_phi=phi.degree, deg_r=deg_r, cyclotomic_degree=cyc_deg,
         siegel_witness_theta=data.delta.theta,
         nonsiegel_witness_theta=data.delta_prime.theta,
         nonsiegel_ratio=ratio,
@@ -530,8 +546,7 @@ def mau_seed(ns: list[int], precision_bits: int = 512,
             raise ValueError(f"unsupported source index {n}")
         fact = salem_factor(en_from_formula(n), n)
         phi = fact.salem_candidate
-        r = salem_trace(phi)
-        q = r.degree
+        q = phi.degree // 2                  # deg r of the trace polynomial
         prime, witness = is_prime(q)
         try:
             data = mcmullen_data(n, precision_bits=precision_bits)
@@ -542,7 +557,7 @@ def mau_seed(ns: list[int], precision_bits: int = 512,
             k=(n - 19) // 360, n=n, q=q, primality_witness=witness,
             degree_bound_before=seq.degree_bound,
             q_exceeds_bound=prime and q > seq.degree_bound,
-            deg_phi=phi.degree, deg_r=r.degree,
+            deg_phi=phi.degree, deg_r=q,
             cyclotomic_degree=sum(euler_phi(d) * m
                                   for d, m in fact.cyclotomic_part),
             siegel_witness_theta=data.delta.theta,

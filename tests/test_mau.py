@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from salemforge.mau import (DegreeCertificateFailure, IndependenceFalsified,
                             MAUSequence, PrecisionTooLow, RelationReport,
@@ -86,6 +87,114 @@ def test_lll_rejects_bad_delta():
         lll_reduce([[1, 0], [0, 1]], delta=Fraction(1, 2))
 
 
+def _oracle_gram_schmidt(basis):
+    """mu[i][j] and squared norms B[i] of the orthogonalization, exact."""
+    n = len(basis)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bstar = []
+    b_norms = []
+    for i in range(n):
+        v = [Fraction(x) for x in basis[i]]
+        for j in range(i):
+            num = sum(Fraction(x) * y for x, y in zip(basis[i], bstar[j]))
+            mu[i][j] = num / b_norms[j]
+            v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
+        bstar.append(v)
+        b_norms.append(sum(x * x for x in v))
+    return mu, b_norms
+
+
+def _oracle_lll(rows, delta=Fraction(99, 100)):
+    """Reference LLL: full Fraction Gram-Schmidt after every step."""
+    b = [[int(x) for x in row] for row in rows]
+    n = len(b)
+    mu, bn = _oracle_gram_schmidt(b)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                mu, bn = _oracle_gram_schmidt(b)
+        if bn[k] >= (delta - mu[k][k - 1] ** 2) * bn[k - 1]:
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            mu, bn = _oracle_gram_schmidt(b)
+            k = max(k - 1, 1)
+    return b, bn
+
+
+def _independent(rows):
+    try:
+        return all(_oracle_gram_schmidt(rows)[1])
+    except ZeroDivisionError:
+        return False
+
+
+@st.composite
+def _random_lattices(draw):
+    n = draw(st.integers(1, 6))
+    width = n + draw(st.integers(0, 2))
+    bits = draw(st.sampled_from([4, 64, 128]))
+    entry = st.integers(-(1 << bits), 1 << bits)
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                         min_size=n, max_size=n))
+    assume(_independent(rows))
+    return rows
+
+
+@st.composite
+def _relation_lattices(draw):
+    """The lattice relation_search builds: rows (e_i, t_i), then (0, 2^p)."""
+    n = draw(st.integers(1, 5))
+    p = draw(st.sampled_from([32, 64, 128, 256]))
+    t = [draw(st.integers(0, (1 << p) - 1)) for _ in range(n)]
+    m = [draw(st.integers(-20, 20)) for _ in range(n)]
+    if m[-1]:   # plant sum(m_i theta_i) = 0 mod 1 through the last slot
+        t[-1] = round(Fraction(-sum(a * b for a, b in zip(m, t[:-1])),
+                               m[-1])) % (1 << p)
+    rows = [[1 if j == i else 0 for j in range(n)] + [t[i]] for i in range(n)]
+    return rows + [[0] * n + [1 << p]]
+
+
+_tie_lattices = st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+    min_size=n, max_size=n)).filter(_independent)
+
+
+@given(_random_lattices())
+@settings(max_examples=60, deadline=None)
+def test_lll_matches_oracle_on_random_lattices(rows):
+    assert lll_reduce(rows) == _oracle_lll(rows)
+
+
+@given(_relation_lattices())
+@settings(max_examples=40, deadline=None)
+def test_lll_matches_oracle_on_relation_lattices(rows):
+    assert lll_reduce(rows) == _oracle_lll(rows)
+
+
+# mu = 5/2, -3/2 and 1/2 round half to even; rounding half up would differ
+@example([[2, 0], [5, 1]])
+@example([[2, 0], [-3, 1]])
+@example([[2, 0, 0], [1, 1, 0], [-3, 1, 1]])
+# |b_1|^2 = 99/100 |b_0|^2 meets the Lovasz bound with equality: no swap
+@example([[10, 0, 0], [1, 7, 7]])
+@given(_tie_lattices)
+@settings(max_examples=200, deadline=None)
+def test_lll_matches_oracle_on_small_entry_ties(rows):
+    assert lll_reduce(rows) == _oracle_lll(rows)
+
+
+@pytest.mark.parametrize("rows", [[[0, 0]], [[1, 2], [2, 4]],
+                                  [[1, 0], [0, 1], [1, 1]],
+                                  [[3, 1, 4], [1, 5, 9], [4, 6, 13]]])
+def test_lll_rejects_dependent_rows(rows):
+    with pytest.raises(ValueError):
+        lll_reduce(rows)
+
+
 # -- relation search ----------------------------------------------------
 
 
@@ -147,6 +256,20 @@ def test_planted_random_relations_recovered():
         cross = [e[a] * m[b] - e[b] * m[a]
                  for a in range(k) for b in range(a + 1, k)]
         assert all(c == 0 for c in cross)
+
+
+def test_bare_mpf_arguments_keep_their_precision():
+    # 560-bit mpf arguments searched at 512 bits at the ambient (53-bit)
+    # precision: rounding them to 53 bits would hide the planted relation
+    rng = random.Random(560)
+    with mp.workprec(560):
+        a = mp.mpf(rng.getrandbits(560)) / 2**560
+        b = mp.mpf(rng.getrandbits(560)) / 2**560
+        c = ((6 * a - 8 * b) / 11) % 1
+    rep = relation_search([a, b, c], 32, 512)
+    assert rep.outcome == "candidate"
+    assert rep.exponents == (6, -8, -11)
+    assert rep.arguments[2].mid == c
 
 
 # -- sequence growth ----------------------------------------------------
