@@ -447,6 +447,44 @@ def load_sequence(path) -> MAUSequence:
                        precision_bits=prec)
 
 
+def _cyclotomic_degree(fact) -> int:
+    return sum(euler_phi(d) * m for d, m in fact.cyclotomic_part)
+
+
+def _source_pair(n: int, fact, precision_bits: int, *, k: int, q: int,
+                 witness: dict, degree_bound: int, q_exceeds_bound: bool,
+                 note: str = ExtensionCertificate.note
+                 ) -> tuple[tuple[MAUEntry, MAUEntry], ExtensionCertificate]:
+    """The (alpha, beta) entries of source n and their certificate.
+
+    fact is the factorization of E_n; one Siegel and one non-Siegel root
+    are certified, and |alpha'/beta'| must be certified != 1.
+    """
+    phi = fact.salem_candidate
+    try:
+        data = mcmullen_data(n, precision_bits=precision_bits)
+    except NoSiegelRoot as exc:
+        raise WitnessFailure(str(exc)) from exc
+    ratio = data.ratio_prime
+    if not (ratio.lo > 1 or ratio.hi < 1):
+        raise WitnessFailure("no certified |alpha'/beta'| != 1 witness")
+    cert = ExtensionCertificate(
+        k=k, n=n, q=q, primality_witness=witness,
+        degree_bound_before=degree_bound, q_exceeds_bound=q_exceeds_bound,
+        # phi is monic reciprocal of even degree (salem_factor checks it),
+        # so its trace polynomial r has degree deg phi / 2
+        deg_phi=phi.degree, deg_r=phi.degree // 2,
+        cyclotomic_degree=_cyclotomic_degree(fact),
+        siegel_witness_theta=data.delta.theta,
+        nonsiegel_witness_theta=data.delta_prime.theta,
+        nonsiegel_ratio=ratio, integrality=data.certificate, note=note)
+    pair = (MAUEntry(value=data.alpha, argument_turns=data.alpha_arg_turns,
+                     minimal_poly=phi, source_n=n, role="alpha"),
+            MAUEntry(value=data.beta, argument_turns=data.beta_arg_turns,
+                     minimal_poly=phi, source_n=n, role="beta"))
+    return pair, cert
+
+
 def mau_extend(seq: MAUSequence, precision_bits: int = 512,
                relation_bound: int = 32) -> MAUSequence:
     """Append the (alpha, beta) pair of the next admissible prime degree.
@@ -466,59 +504,28 @@ def mau_extend(seq: MAUSequence, precision_bits: int = 512,
 
     fact = salem_factor(en_from_formula(n), n)
     phi = fact.salem_candidate
-    cyc_deg = sum(euler_phi(d) * m for d, m in fact.cyclotomic_part)
     base = salem_factor(en_from_formula(19), 19)
-    if cyc_deg != 5 or fact.cyclotomic_part != base.cyclotomic_part:
+    if _cyclotomic_degree(fact) != 5 or fact.cyclotomic_part != base.cyclotomic_part:
         raise DegreeCertificateFailure(
             f"cyclotomic part of E_{n} deviates from the residue-19 pattern")
     if phi.degree != n - 5:
         raise DegreeCertificateFailure(
             f"deg phi = {phi.degree}, expected {n - 5} for k={k}")
-    # phi is monic reciprocal of even degree (salem_factor checks it), so
-    # its trace polynomial r has degree deg phi / 2 = (n - 5) / 2 = q
-    deg_r = phi.degree // 2
 
-    try:
-        data = mcmullen_data(n, precision_bits=precision_bits)
-    except NoSiegelRoot as exc:
-        raise WitnessFailure(str(exc)) from exc
-    ratio = data.delta_prime and _nonsiegel_ratio(phi, data, precision_bits)
-    if ratio is None or not (ratio.lo > 1 or ratio.hi < 1):
-        raise WitnessFailure("no certified |alpha'/beta'| != 1 witness")
-
-    cert = ExtensionCertificate(
-        k=k, n=n, q=q, primality_witness=witness,
-        degree_bound_before=seq.degree_bound,
-        q_exceeds_bound=q > seq.degree_bound,
-        deg_phi=phi.degree, deg_r=deg_r, cyclotomic_degree=cyc_deg,
-        siegel_witness_theta=data.delta.theta,
-        nonsiegel_witness_theta=data.delta_prime.theta,
-        nonsiegel_ratio=ratio,
-        integrality=data.certificate,
-    )
-    entries = seq.entries + (
-        MAUEntry(value=data.alpha, argument_turns=data.alpha_arg_turns,
-                 minimal_poly=phi, source_n=n, role="alpha"),
-        MAUEntry(value=data.beta, argument_turns=data.beta_arg_turns,
-                 minimal_poly=phi, source_n=n, role="beta"),
-    )
-    new_bound = seq.degree_bound * 2 * phi.degree
+    pair, cert = _source_pair(n, fact, precision_bits, k=k, q=q, witness=witness,
+                              degree_bound=seq.degree_bound,
+                              q_exceeds_bound=q > seq.degree_bound)
+    entries = seq.entries + pair
     audit = relation_search([e.argument_turns for e in entries],
                             relation_bound, precision_bits)
     if audit.outcome == "candidate":
         raise IndependenceFalsified(
             f"verified relation {audit.exponents} among certified-independent "
             f"arguments: implementation bug")
-    return MAUSequence(entries=entries, degree_bound=new_bound,
+    return MAUSequence(entries=entries,
+                       degree_bound=seq.degree_bound * 2 * phi.degree,
                        certificates=seq.certificates + (cert,),
                        relation_audit=audit, precision_bits=precision_bits)
-
-
-def _nonsiegel_ratio(phi: IntPoly, data, precision_bits: int) -> RealBall:
-    from .mcmullen import eigenvalue_branches
-    branches = eigenvalue_branches(phi, data.delta_prime, precision_bits)
-    br = next(b for b in branches if b.branch_sign == data.branch_sign)
-    return br.ratio_abs
 
 
 def mau_build(length: int, precision_bits: int = 512,
@@ -542,38 +549,18 @@ def mau_seed(ns: list[int], precision_bits: int = 512,
     """
     seq = MAUSequence(precision_bits=precision_bits)
     for n in ns:
-        if (n - 19) % 360 != 0 and n % 6 != 1:
+        if n % 6 != 1:
             raise ValueError(f"unsupported source index {n}")
         fact = salem_factor(en_from_formula(n), n)
-        phi = fact.salem_candidate
-        q = phi.degree // 2                  # deg r of the trace polynomial
+        q = fact.salem_candidate.degree // 2      # deg r of the trace polynomial
         prime, witness = is_prime(q)
-        try:
-            data = mcmullen_data(n, precision_bits=precision_bits)
-        except NoSiegelRoot as exc:
-            raise WitnessFailure(str(exc)) from exc
-        ratio = _nonsiegel_ratio(phi, data, precision_bits)
-        cert = ExtensionCertificate(
-            k=(n - 19) // 360, n=n, q=q, primality_witness=witness,
-            degree_bound_before=seq.degree_bound,
+        pair, cert = _source_pair(
+            n, fact, precision_bits, k=(n - 19) // 360, q=q, witness=witness,
+            degree_bound=seq.degree_bound,
             q_exceeds_bound=prime and q > seq.degree_bound,
-            deg_phi=phi.degree, deg_r=q,
-            cyclotomic_degree=sum(euler_phi(d) * m
-                                  for d, m in fact.cyclotomic_part),
-            siegel_witness_theta=data.delta.theta,
-            nonsiegel_witness_theta=data.delta_prime.theta,
-            nonsiegel_ratio=ratio,
-            integrality=data.certificate,
-            note="explicitly seeded source; growth guarantee not certified",
-        )
-        entries = seq.entries + (
-            MAUEntry(value=data.alpha, argument_turns=data.alpha_arg_turns,
-                     minimal_poly=phi, source_n=n, role="alpha"),
-            MAUEntry(value=data.beta, argument_turns=data.beta_arg_turns,
-                     minimal_poly=phi, source_n=n, role="beta"),
-        )
-        seq = MAUSequence(entries=entries,
-                          degree_bound=seq.degree_bound * 2 * phi.degree,
+            note="explicitly seeded source; growth guarantee not certified")
+        seq = MAUSequence(entries=seq.entries + pair,
+                          degree_bound=seq.degree_bound * 2 * cert.deg_phi,
                           certificates=seq.certificates + (cert,),
                           relation_audit=None,
                           precision_bits=precision_bits)

@@ -12,6 +12,7 @@ certified by two exact polynomial divisions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,10 +21,9 @@ import mpmath as mp
 from .polyring import IntPoly, poly
 from .coxeter import en_from_formula, salem_factor, salem_trace
 from .roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
-                    arccos_ball, circle_root_arguments, cos_ball, eval_ball,
-                    log_ball, salem_eta, sqrt_ball, unit_exp_ball)
-
-import numpy as np
+                    arccos_ball, circle_root, circle_root_arguments,
+                    circle_root_brackets, cos_ball, eval_ball, log_ball,
+                    salem_eta, sqrt_ball, unit_exp_ball)
 
 
 class PoleError(ValueError):
@@ -186,82 +186,28 @@ def find_witness_roots(phi: IntPoly, precision_bits: int
                        ) -> tuple[CircleRoot, CircleRoot]:
     """One certified Siegel root and one certified non-Siegel root of phi.
 
-    Cheap float classification of scan brackets picks the candidates;
-    only those two are refined to full precision.  Scales to the large
-    Salem factors the MAU extension needs.
+    The circle scan gives the m - 1 brackets; a float value of the branch
+    discriminant at each bracket picks the candidates, and only the first
+    candidate of each kind whose certified class agrees is certified.
+    Scales to the large Salem factors the MAU extension needs.
     """
     m = _check_salem_shape(phi)
-    coeffs = np.array(phi.coeffs, dtype=np.float64)
-    k = 64 * m
-    grid = np.linspace(0.0, np.pi, k + 2)[1:-1]
-    z = np.exp(1j * grid)
-    vals = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        vals = vals * z + c
-    g = np.real(vals * np.exp(-1j * m * grid))
-    sign = np.sign(g)
-    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    brackets = circle_root_brackets(phi, expected=m - 1)
 
-    def w_of(theta: float) -> float:
-        den = 1.0 + 2.0 * np.cos(theta)
-        if abs(den) < 1e-9:
-            return np.inf
-        return 2.0 * np.cos(theta / 2.0) / den
-
-    siegel_cands, nonsiegel_cands = [], []
-    for i in idx:
-        t = 0.5 * (grid[i] + grid[i + 1])
-        w = abs(w_of(t))
-        if w < 1.98:
-            siegel_cands.append((t, i))
-        elif w > 2.02:
-            nonsiegel_cands.append((t, i))
-
-    def refine(cands, want_tag, index_base):
-        for t, _ in cands:
-            th = _refine_circle_root(phi, m, t, precision_bits)
-            if th is None:
+    def witness(tag: str, preselect) -> CircleRoot:
+        for i, (lo, hi) in enumerate(brackets):
+            t = 0.5 * (lo + hi)
+            den = 1.0 + 2.0 * math.cos(t)       # float |w| as in _w_interval
+            w = abs(2.0 * math.cos(t / 2.0) / den) if den else math.inf
+            if not preselect(w):
                 continue
-            root = CircleRoot.from_theta(th, precision_bits, index=index_base)
-            branches = eigenvalue_branches(phi, root, precision_bits)
-            if branches[0].classification == want_tag:
+            theta = circle_root(phi, lo, hi, precision_bits)
+            root = CircleRoot.from_theta(theta, precision_bits, index=i + 1)
+            if eigenvalue_branches(phi, root, precision_bits)[0].classification == tag:
                 return root
-        return None
+        raise NoSiegelRoot(f"no certified {tag} root found")
 
-    s = refine(siegel_cands, "siegel", 1)
-    ns = refine(nonsiegel_cands, "nonsiegel", 2)
-    if s is None:
-        raise NoSiegelRoot("no certified Siegel root found")
-    if ns is None:
-        raise NoSiegelRoot("no certified non-Siegel root found")
-    return s, ns
-
-
-def _refine_circle_root(phi: IntPoly, m: int, t0: float,
-                        precision_bits: int) -> Optional[RealBall]:
-    from .roots import _g_value, _g_prime, _horner, _ulp
-
-    wp = precision_bits + GUARD_BITS
-    dp = phi.derivative()
-    with mp.workprec(wp):
-        t = mp.mpf(t0)
-        tol = mp.mpf(2) ** (-precision_bits - GUARD_BITS // 2)
-        for _ in range(100):
-            gd = _g_prime(phi, m, t)
-            if gd == 0:
-                return None
-            step = _g_value(phi, m, t) / gd
-            t -= step
-            if abs(step) < tol:
-                break
-        z = mp.exp(mp.mpc(0, t))
-        dv = _horner(dp.coeffs, z)
-        if dv == 0:
-            return None
-        rho = phi.degree * abs(_horner(phi.coeffs, z) / dv)
-        if rho > mp.mpf(2) ** (-(precision_bits // 2)):
-            return None
-        return RealBall(t, 2 * rho + _ulp(wp, t))
+    return witness("siegel", lambda w: w < 1.98), witness("nonsiegel", lambda w: w > 2.02)
 
 
 # -- exact integrality certificates ------------------------------------
@@ -346,6 +292,7 @@ class McMullenPairData:
     precision_bits: int
     alpha_arg_turns: RealBall = None  # arg(alpha) / 2 pi in [0, 1)
     beta_arg_turns: RealBall = None
+    ratio_prime: RealBall = None      # certified |alpha' / beta'|
 
     def to_json(self) -> dict:
         return {
@@ -366,6 +313,7 @@ class McMullenPairData:
             "precision_bits": self.precision_bits,
             "alpha_arg_turns": self.alpha_arg_turns.to_json(),
             "beta_arg_turns": self.beta_arg_turns.to_json(),
+            "ratio_prime": self.ratio_prime.to_json(),
         }
 
 
@@ -379,12 +327,11 @@ def _arg_turns(theta_component: RealBall, precision_bits: int) -> RealBall:
 
 
 def mcmullen_data(n: int, precision_bits: int = 256,
-                  branch_sign: int = +1, full_scan: bool | None = None
-                  ) -> McMullenPairData:
+                  branch_sign: int = +1) -> McMullenPairData:
     """Full eigenvalue data of the pair for n = 1 mod 6 at a Siegel root.
 
-    full_scan controls whether every circle root is classified (small
-    degrees) or only the two needed witnesses are refined (large n).
+    Up to degree 40 every circle root is certified and classified; above
+    it only the two witnesses are.
     """
     if n % 6 != 1:
         raise ValueError(f"n must be 1 mod 6, got {n}")
@@ -392,9 +339,7 @@ def mcmullen_data(n: int, precision_bits: int = 256,
         raise ValueError("n must be at least 13")
     fact = salem_factor(en_from_formula(n), n)
     phi = fact.salem_candidate
-    if full_scan is None:
-        full_scan = phi.degree <= 40
-    if full_scan:
+    if phi.degree <= 40:
         siegel, nonsiegel = scan_siegel_roots(phi, precision_bits)
         if not nonsiegel:
             raise NoSiegelRoot("no non-Siegel witness root")
@@ -431,4 +376,5 @@ def mcmullen_data(n: int, precision_bits: int = 256,
         alpha_prime=brp.alpha, beta_prime=brp.beta,
         entropy=entropy, certificate=cert, precision_bits=precision_bits,
         alpha_arg_turns=alpha_arg, beta_arg_turns=beta_arg,
+        ratio_prime=brp.ratio_abs,
     )

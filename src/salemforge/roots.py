@@ -1,11 +1,18 @@
 """Certified complex root isolation and Salem-structure classification.
 
-Midpoint/radius ball arithmetic on top of mpmath, an Aberth-Ehrlich
-simultaneous solver with per-root Newton polishing, and disk certificates
-via the classical bound: the disk of radius deg * |p(z)/p'(z)| around z
-contains at least one root of p.  Reciprocal polynomials get their
-on-circle tags from the algebraic z <-> 1/z pairing, never from numeric
-proximity alone.
+Midpoint/radius ball arithmetic on top of mpmath and one certified-root
+primitive, sign_change_root: Newton from a float bracket, then a sign
+change of the function at t -/+ eps checked on balls from eval_ball.
+It gives the circle-root arguments theta and the Salem number eta that
+the pipeline uses.
+
+isolate_roots, classify_salem and entropy_from_charpoly are the
+independent Aberth oracle that the acceptance tests compare against:
+an Aberth-Ehrlich simultaneous solver whose disks have the classical
+radius deg * |p(z)/p'(z)|.  Reciprocal polynomials get their on-circle
+tags from the algebraic z <-> 1/z pairing, never from numeric proximity
+alone; a root neither pinned by the pairing nor separated from the
+circle is tagged "unresolved".
 """
 
 from __future__ import annotations
@@ -381,7 +388,7 @@ def _certify(p: IntPoly, zs, prec: int):
 
 
 CLASSIFICATIONS = ("outside_circle", "inside_circle", "on_circle",
-                   "real_gt_1", "real_in_01")
+                   "real_gt_1", "real_in_01", "unresolved")
 
 
 @dataclass(frozen=True)
@@ -434,11 +441,11 @@ def _classify_tags(p: IntPoly, balls: list[ComplexBall], prec: int) -> list[str]
                 tags.append("outside_circle")
             elif dist.is_negative():
                 tags.append("inside_circle")
-            elif on_circle:
+            elif on_circle:                   # a real root at 1 or -1
                 tags.append("on_circle")
             else:
                 # not pinned by the pairing and the interval straddles 1
-                tags.append("on_circle" if on_circle else "inside_circle")
+                tags.append("unresolved")
         return tags
 
 
@@ -561,132 +568,154 @@ def entropy_from_charpoly(p: IntPoly, precision_bits: int = 256) -> RealBall:
         return RealBall((lo + hi) / 2, (hi - lo) / 2 + _ulp(mp.mp.prec, hi))
 
 
-# -- unit-circle root scan (reciprocal polynomials of any degree) -------
+# -- certified real roots by a sign change --------------------------------
+#
+# Every production root (the circle-root arguments theta and the Salem
+# number eta) comes from sign_change_root: Newton from a float bracket at
+# precision_bits + GUARD_BITS, then the intermediate value theorem.  The
+# signs at t - eps and t + eps, eps = 2^-(precision_bits + GUARD_BITS/2),
+# are read off balls from eval_ball, which bounds the rounding error of
+# the evaluation, so the returned ball (t, eps) contains a root.
+
+
+def sign_change_root(newton_step, value_ball, lo: float, hi: float,
+                     precision_bits: int) -> RealBall:
+    """A root of f in the float bracket [lo, hi], certified by a sign change.
+
+    newton_step(t) returns f(t) / f'(t) at the working precision;
+    value_ball(x) returns a RealBall containing f(x) at the exact point x.
+    Raises IsolationError when Newton leaves the bracket or the two signs
+    are not certified opposite.
+    """
+    e = precision_bits + GUARD_BITS // 2
+    with mp.workprec(precision_bits + GUARD_BITS):
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        t, tol = (lo + hi) / 2, mp.ldexp(1, -e)
+        try:
+            for _ in range(100):
+                step = newton_step(t)
+                t -= step
+                if abs(step) < tol:
+                    break
+        except ZeroDivisionError:
+            raise IsolationError("derivative vanished during Newton") from None
+        if not lo <= t <= hi:
+            raise IsolationError(f"Newton left the bracket "
+                                 f"[{mp.nstr(lo, 17)}, {mp.nstr(hi, 17)}]")
+        # t rounded to a multiple of eps: t and t -/+ eps are exact here
+        k = int(mp.nint(mp.ldexp(t, e)))
+        below = value_ball(mp.ldexp(k - 1, -e))
+        above = value_ball(mp.ldexp(k + 1, -e))
+        if not ((below.is_negative() and above.is_positive())
+                or (below.is_positive() and above.is_negative())):
+            raise IsolationError(
+                f"no certified sign change around {mp.nstr(t, 17)} at "
+                f"{precision_bits} bits; retry with higher precision")
+        return RealBall(mp.ldexp(k, -e), tol)
+
+
+# -- unit-circle roots (reciprocal polynomials of any degree) ------------
 #
 # For monic reciprocal p of degree 2m, G(t) := Re(e^(-imt) p(e^(it))) is a
 # real trigonometric polynomial whose zeros in (0, pi) are exactly the
-# arguments of the upper-half-plane circle roots.  Sign changes of G on a
-# float grid locate them; mpmath Newton sharpens; the complex disk bound
-# certifies.
+# arguments of the upper-half-plane circle roots.
 
 
-def _g_value(p: IntPoly, m: int, theta):
-    z = mp.exp(mp.mpc(0, theta))
-    return (_horner(p.coeffs, z) * mp.exp(mp.mpc(0, -m * theta))).real
+def circle_root_brackets(p: IntPoly, expected: int | None = None
+                         ) -> list[tuple[float, float]]:
+    """Float brackets in (0, pi) where G changes sign, in increasing order.
 
-
-def _g_prime(p: IntPoly, m: int, theta):
-    z = mp.exp(mp.mpc(0, theta))
-    pv = _horner(p.coeffs, z)
-    dv = _horner(p.derivative().coeffs, z)
-    val = mp.exp(mp.mpc(0, -m * theta)) * (dv * mp.mpc(0, 1) * z - mp.mpc(0, m) * pv)
-    return val.real
-
-
-def circle_root_arguments(p: IntPoly, precision_bits: int,
-                          expected: int | None = None) -> list[RealBall]:
-    """Arguments theta in (0, pi) of the circle roots of reciprocal p,
-    as certified real balls; conjugate roots at -theta are implied.
-
-    `expected` forces a recount with a finer grid until that many sign
-    changes are found (Salem candidates have m - 1 of them).
+    The grid has 64m points.  With `expected`, a grid 4 times finer is
+    tried, five grids in all, until that many sign changes are found
+    (Salem candidates have m - 1 of them); IsolationError if they never are.
     """
     if p.degree % 2 != 0 or not p.is_reciprocal() or not p.is_monic():
         raise ValueError("circle scan expects a monic reciprocal even-degree input")
     m = p.degree // 2
     coeffs = np.array(p.coeffs, dtype=np.float64)
-
     grid_factor = 64
-    brackets = []
     for _ in range(5):
-        k = grid_factor * m
-        thetas = np.linspace(0.0, np.pi, k + 2)[1:-1]
+        thetas = np.linspace(0.0, np.pi, grid_factor * m + 2)[1:-1]
         z = np.exp(1j * thetas)
         vals = np.zeros_like(z)
         for c in coeffs[::-1]:
             vals = vals * z + c
-        g = np.real(vals * np.exp(-1j * m * thetas))
-        sign = np.sign(g)
+        sign = np.sign(np.real(vals * np.exp(-1j * m * thetas)))
         idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
         brackets = [(thetas[i], thetas[i + 1]) for i in idx]
         if expected is None or len(brackets) == expected:
-            break
+            return brackets
         grid_factor *= 4
-    if expected is not None and len(brackets) != expected:
-        raise IsolationError(
-            f"found {len(brackets)} circle-root brackets, expected {expected}")
+    raise IsolationError(
+        f"found {len(brackets)} circle-root brackets, expected {expected}")
 
-    out = []
-    wp = precision_bits + GUARD_BITS
+
+def circle_root(p: IntPoly, lo: float, hi: float,
+                precision_bits: int) -> RealBall:
+    """The argument in the bracket [lo, hi] of a circle root of p,
+    certified by a sign change of G."""
+    m = p.degree // 2
     dp = p.derivative()
-    with mp.workprec(wp):
-        tol = mp.mpf(2) ** (-precision_bits - GUARD_BITS // 2)
-        for lo, hi in brackets:
-            a, b = mp.mpf(lo), mp.mpf(hi)
-            ga = _g_value(p, m, a)
-            # a few bisection steps to stabilize, then Newton
-            for _ in range(10):
-                mid = (a + b) / 2
-                gm = _g_value(p, m, mid)
-                if (gm > 0) == (ga > 0):
-                    a, ga = mid, gm
-                else:
-                    b = mid
-            t = (a + b) / 2
-            for _ in range(80):
-                gv = _g_value(p, m, t)
-                gd = _g_prime(p, m, t)
-                if gd == 0:
-                    break
-                step = gv / gd
-                t -= step
-                if abs(step) < tol:
-                    break
-            # certify via the complex disk bound at z = e^(i t)
-            z = mp.exp(mp.mpc(0, t))
-            dv = _horner(dp.coeffs, z)
-            if dv == 0:
-                raise IsolationError("derivative vanished during certification")
-            rho = p.degree * abs(_horner(p.coeffs, z) / dv)
-            out.append(RealBall(t, 2 * rho + _ulp(wp, t)))
+
+    def newton_step(t):
+        z, u = mp.expj(t), mp.expj(-m * t)
+        pv = _horner(p.coeffs, z)
+        # G'(t) = Re(i e^(-imt) (z p'(z) - m p(z)))
+        return (u * pv).real / -(u * (z * _horner(dp.coeffs, z) - m * pv)).imag
+
+    def value_ball(x):
+        z = unit_exp_ball(RealBall(x, mp.mpf(0)), precision_bits)
+        u = unit_exp_ball(RealBall(mp.fmul(-m, x, exact=True), mp.mpf(0)),
+                          precision_bits)
+        w = eval_ball(p, z) * u
+        return RealBall(w.mid.real, w.radius)
+
+    return sign_change_root(newton_step, value_ball, lo, hi, precision_bits)
+
+
+def circle_root_arguments(p: IntPoly, precision_bits: int,
+                          expected: int | None = None) -> list[RealBall]:
+    """Arguments theta in (0, pi) of the circle roots of reciprocal p,
+    as disjoint certified real balls in increasing order; conjugate roots
+    at -theta are implied.  `expected` is as in circle_root_brackets.
+    """
+    out = [circle_root(p, lo, hi, precision_bits)
+           for lo, hi in circle_root_brackets(p, expected)]
+    if any(not a.hi < b.lo for a, b in zip(out, out[1:])):
+        raise IsolationError("circle-root balls overlap; retry with higher precision")
     return out
 
 
 def salem_eta(p: IntPoly, precision_bits: int) -> RealBall:
     """The unique real root > 1 of a Salem-pattern polynomial, certified.
 
-    Works at any degree: bisection bracket on (1, Fujiwara bound), Newton
-    refinement, then the complex disk certificate.
+    Works at any degree: a float bisection on (1, Fujiwara bound) brackets
+    it and sign_change_root certifies it.
     """
-    wp = precision_bits + GUARD_BITS
+    def scaled(x: float) -> float:
+        # x^-deg p(x) has the sign of p(x) and does not overflow for x > 1
+        y, acc = 1.0 / x, 0.0
+        for c in p.coeffs:
+            acc = acc * y + c
+        return acc
+
+    lo, hi = 1.0 + 2.0 ** -16, _fujiwara_bound(p) + 1.0
+    if not scaled(lo) < 0 < scaled(hi):
+        raise NotSalemError("no sign change on (1, bound): not a Salem pattern")
+    while hi - lo > 2.0 ** -20:
+        mid = (lo + hi) / 2
+        if scaled(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
     dp = p.derivative()
-    with mp.workprec(wp):
-        a = mp.mpf(1) + mp.mpf(2) ** -16
-        b = mp.mpf(_fujiwara_bound(p)) + 1
-        fa = _horner(p.coeffs, a)
-        fb = _horner(p.coeffs, b)
-        if not (fa < 0 < fb):
-            raise NotSalemError("no sign change on (1, bound): not a Salem pattern")
-        for _ in range(60):
-            midp = (a + b) / 2
-            fm = _horner(p.coeffs, midp)
-            if fm < 0:
-                a = midp
-            else:
-                b = midp
-        t = (a + b) / 2
-        tol = mp.mpf(2) ** (-precision_bits - GUARD_BITS // 2)
-        for _ in range(100):
-            dv = _horner(dp.coeffs, t)
-            if dv == 0:
-                break
-            step = _horner(p.coeffs, t) / dv
-            t -= step
-            if abs(step) < tol:
-                break
-        dv = _horner(dp.coeffs, t)
-        rho = p.degree * abs(_horner(p.coeffs, t) / dv)
-        return RealBall(t, rho + _ulp(wp, t))
+
+    def value_ball(x):
+        v = eval_ball(p, ComplexBall(mp.mpc(x), mp.mpf(0), precision_bits))
+        return RealBall(v.mid.real, v.radius)
+
+    return sign_change_root(lambda t: _horner(p.coeffs, t) / _horner(dp.coeffs, t),
+                            value_ball, lo, hi, precision_bits)
 
 
 def log_ball(x: RealBall, precision_bits: int) -> RealBall:

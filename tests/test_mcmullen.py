@@ -8,7 +8,9 @@ from salemforge.mcmullen import (CircleRoot, NoSiegelRoot, PoleError,
                                  integrality_certificate, mcmullen_data,
                                  numeric_integrality_check, scan_siegel_roots,
                                  _w_interval)
-from salemforge.roots import RealBall, eval_ball
+from salemforge.polyring import poly
+from salemforge.roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
+                              eval_ball, salem_eta, unit_exp_ball)
 from salemforge.coxeter import en_from_formula, salem_factor
 
 TOL = mp.mpf(2) ** -100
@@ -84,6 +86,54 @@ def test_find_witness_roots_agrees_with_scan(phi14):
     s, ns = find_witness_roots(phi14, 256)
     assert eigenvalue_branches(phi14, s, 256)[0].classification == "siegel"
     assert eigenvalue_branches(phi14, ns, 256)[0].classification == "nonsiegel"
+    # the witnesses keep their scan positions
+    siegel, nonsiegel = scan_siegel_roots(phi14, 256)
+    assert (s.index, ns.index) == (siegel[0].index, nonsiegel[0].index) == (1, 4)
+    assert s.theta == siegel[0].theta and ns.theta == nonsiegel[0].theta
+
+
+def test_find_witness_roots_demands_m_minus_1_brackets():
+    # Phi_5 has both of its upper circle roots in (0, pi): 2 != m - 1 = 1
+    with pytest.raises(IsolationError):
+        find_witness_roots(poly(1, 1, 1, 1, 1), 128)
+
+
+def _sign_certified_opposite(f_lo: RealBall, f_hi: RealBall) -> bool:
+    return ((f_lo.is_negative() and f_hi.is_positive())
+            or (f_lo.is_positive() and f_hi.is_negative()))
+
+
+def _endpoint(x, prec):
+    """x rounded to the working precision, with a radius covering that."""
+    return +x, mp.mpf(2) ** (-(prec + 70))
+
+
+def test_witness_and_eta_balls_hold_a_sign_change():
+    """At n = 739, 512 bits, G = Re(e^(-imt) phi(e^(it))) has certified
+    opposite signs at the ends of each witness theta ball, and so does
+    phi at the ends of the eta ball; the signs come from eval_ball."""
+    prec = 512
+    phi = salem_factor(en_from_formula(739), 739).salem_candidate
+    m = phi.degree // 2
+
+    def g_ball(x):
+        with mp.workprec(prec + GUARD_BITS):
+            t, r = _endpoint(x, prec)
+            z = unit_exp_ball(RealBall(t, r), prec)
+            u = unit_exp_ball(RealBall(-m * t, m * r), prec)
+        w = eval_ball(phi, z) * u
+        return RealBall(w.mid.real, w.radius)
+
+    def phi_ball(x):
+        with mp.workprec(prec + GUARD_BITS):
+            t, r = _endpoint(x, prec)
+            v = eval_ball(phi, ComplexBall(mp.mpc(t), r, prec))
+        return RealBall(v.mid.real, v.radius)
+
+    for root in find_witness_roots(phi, prec):
+        assert _sign_certified_opposite(g_ball(root.theta.lo), g_ball(root.theta.hi))
+    eta = salem_eta(phi, prec)
+    assert _sign_certified_opposite(phi_ball(eta.lo), phi_ball(eta.hi))
 
 
 @pytest.mark.parametrize("n", [19, 25, 31, 37, 43])

@@ -5,10 +5,10 @@ import pytest
 
 from salemforge.polyring import IntPoly, poly, monomial, ONE
 from salemforge.roots import (ComplexBall, NotSalemError, RealBall,
-                              circle_root_arguments, classify_salem,
-                              entropy_from_charpoly, eval_ball, isolate_roots,
-                              log_ball, salem_eta, unit_circle_distance,
-                              yun_squarefree)
+                              _classify_tags, circle_root_arguments,
+                              classify_salem, entropy_from_charpoly, eval_ball,
+                              isolate_roots, log_ball, salem_eta,
+                              unit_circle_distance, yun_squarefree)
 from salemforge.coxeter import en_from_formula, salem_factor
 
 PHI_14 = IntPoly([1, -1, 0, -1, 1, 0, 0, -1, 0, 0, 1, -1, 0, -1, 1])
@@ -139,6 +139,14 @@ def test_log_ball_and_unit_circle_distance():
     assert l.lo <= 1 <= l.hi
     z = ComplexBall.exact(mp.mpc(0, 1), 128)
     assert unit_circle_distance(z).contains_zero()
+
+
+def test_straddling_ball_without_pairing_is_unresolved():
+    # x^2 + 2 is not reciprocal, so no pairing pins the ball, and the
+    # ball around i straddles the unit circle
+    with mp.workprec(128):
+        ball = ComplexBall(mp.mpc(0, 1), mp.mpf("0.01"), 64)
+    assert _classify_tags(poly(2, 0, 1), [ball], 64) == ["unresolved"]
 
 
 def test_precision_monotonicity(phi14):
