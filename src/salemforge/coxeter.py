@@ -3,8 +3,7 @@
 E_n(x) is produced two independent ways: a sparse closed formula divided
 exactly by (x - 1), and the characteristic polynomial of the product of
 the n simple reflections.  The factorization splits E_n into its
-cyclotomic part and the Salem candidate, and the trace polynomial
-r(y) with x^m * r(x + 1/x) = phi(x) is computed by exact elimination.
+cyclotomic part and the Salem candidate.
 """
 
 from __future__ import annotations
@@ -241,37 +240,3 @@ def salem_factor(e_n: IntPoly, n: int, screen_cap: int = 10_000,
         salem_candidate=rem,
         residue_class=n % 360,
     )
-
-
-def salem_trace(phi: IntPoly) -> IntPoly:
-    """The monic r of degree m with x^m * r(x + 1/x) = phi(x), phi of degree 2m.
-
-    Computed by exact downward elimination in the basis
-    x^(m-i) (x^2+1)^i; the zero final residual verifies the identity.
-    """
-    if not phi.is_monic() or phi.degree % 2 != 0 or not phi.is_reciprocal():
-        raise ValueError("input must be monic reciprocal of even degree")
-    m = phi.degree // 2
-    residual = list(phi.coeffs)
-    r = [0] * (m + 1)
-    # binomial row for (x^2+1)^i, updated as i descends; start at binom(m, j)
-    row = [1] * (m + 1)
-    for j in range(1, m + 1):
-        row[j] = row[j - 1] * (m - j + 1) // j
-    for i in range(m, -1, -1):
-        ri = residual[m + i] if m + i < len(residual) else 0
-        r[i] = ri
-        if ri:
-            # subtract ri * x^(m-i) * (x^2+1)^i
-            for j in range(i + 1):
-                residual[m - i + 2 * j] -= ri * row[j]
-        if i > 0:
-            # binom(i-1, j) = binom(i, j) * (i - j) / i
-            nxt = [0] * i
-            for j in range(i):
-                nxt[j] = row[j] * (i - j) // i
-            row = nxt
-    if any(residual):
-        raise ValueError("trace elimination left a nonzero residual; "
-                         "input was not reciprocal-even")
-    return IntPoly(r)

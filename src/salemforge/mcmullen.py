@@ -7,7 +7,7 @@ s = +/- delta(1+delta)/(1+delta+delta^2).  Writing w = s * delta^(-1/2)
 gives the real quantity w = +/- 2cos(theta/2)/(1+2cos theta): the branch
 is Siegel exactly when |w| < 2 (both eigenvalues on the circle) and
 certified off-circle when |w| > 2.  Integrality of alpha and beta is
-certified by two exact polynomial divisions.
+certified by one exact norm, N(E_n(omega)) = Res(E_n, x^2+x+1) = 1.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from typing import Optional
 
 import mpmath as mp
 
-from .polyring import IntPoly, poly
-from .coxeter import en_from_formula, salem_factor, salem_trace
+from .polyring import IntPoly
+from .coxeter import en_from_formula, salem_factor
 from .roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
                     arccos_ball, circle_root, circle_root_arguments,
-                    circle_root_brackets, cos_ball, eval_ball, log_ball,
+                    circle_root_brackets, cos_ball, log_ball,
                     salem_eta, sqrt_ball, unit_exp_ball)
 
 
@@ -97,6 +97,17 @@ def _w_interval(theta: RealBall, precision_bits: int) -> RealBall:
         return RealBall((lo + hi) / 2, (hi - lo) / 2 + mp.mpf(2) ** (-mp.mp.prec + 4))
 
 
+def _branch_class(w: RealBall) -> str:
+    """"siegel" when |w| < 2, "nonsiegel" when |w| > 2, both certified."""
+    wa = w.abs_ball()
+    if wa.hi < 2:
+        return "siegel"
+    if wa.lo > 2:
+        return "nonsiegel"
+    raise IsolationError("branch discriminant not separated from 2; "
+                         "retry with higher precision")
+
+
 def eigenvalue_branches(phi: IntPoly, delta: CircleRoot,
                         precision_bits: int) -> list[Branch]:
     """Both sign branches of t^2 - s t + delta = 0 with certified tags.
@@ -106,10 +117,7 @@ def eigenvalue_branches(phi: IntPoly, delta: CircleRoot,
     certified |alpha/beta| != 1.
     """
     w = _w_interval(delta.theta, precision_bits)
-    wa = w.abs_ball()
-    if not (wa.hi < 2 or wa.lo > 2):
-        raise IsolationError("branch discriminant not separated from 2; "
-                             "retry with higher precision")
+    tag = _branch_class(w)
     out = []
     with mp.workprec(precision_bits + GUARD_BITS):
         half_theta = RealBall(delta.theta.mid / 2, delta.theta.rad / 2)
@@ -117,12 +125,11 @@ def eigenvalue_branches(phi: IntPoly, delta: CircleRoot,
         for sign in (+1, -1):
             ws = RealBall(sign * w.mid, w.rad)
             s = _real_times_ball(ws, root_half, precision_bits)
-            if wa.hi < 2:
+            if tag == "siegel":
                 # psi = arccos(w_s / 2); alpha, beta = e^(i(theta/2 +/- psi))
                 psi = arccos_ball(RealBall(ws.mid / 2, ws.rad / 2), precision_bits)
                 alpha = unit_exp_ball(half_theta + psi, precision_bits)
                 beta = unit_exp_ball(half_theta - psi, precision_bits)
-                tag = "siegel"
                 ratio = RealBall(mp.mpf(1), alpha.radius + beta.radius)
             else:
                 # u real with |u| > 1: u = (w_s + sgn(w_s) sqrt(w_s^2 - 4)) / 2
@@ -132,9 +139,7 @@ def eigenvalue_branches(phi: IntPoly, delta: CircleRoot,
                              (ws.rad + disc.rad) / 2 + mp.mpf(2) ** (-mp.mp.prec + 4))
                 alpha = _real_times_ball(u, root_half, precision_bits)
                 beta = root_half / _as_cb(u, precision_bits)
-                tag = "nonsiegel"
-                uu = (u * u).abs_ball()
-                ratio = uu
+                ratio = (u * u).abs_ball()
             a_delta = 2 * delta.ball - s * s
             out.append(Branch(branch_sign=sign, alpha=alpha, beta=beta, s=s,
                               a_of_delta=a_delta, classification=tag,
@@ -172,8 +177,7 @@ def scan_siegel_roots(phi: IntPoly, precision_bits: int = 256
     siegel, nonsiegel = [], []
     for i, th in enumerate(thetas):
         root = CircleRoot.from_theta(th, precision_bits, index=i + 1)
-        branches = eigenvalue_branches(phi, root, precision_bits)
-        tag = branches[0].classification
+        tag = _branch_class(_w_interval(th, precision_bits))
         bucket = siegel if tag == "siegel" else nonsiegel
         bucket.append(root)
         bucket.append(root.conjugate(precision_bits))
@@ -202,26 +206,31 @@ def find_witness_roots(phi: IntPoly, precision_bits: int
             if not preselect(w):
                 continue
             theta = circle_root(phi, lo, hi, precision_bits)
-            root = CircleRoot.from_theta(theta, precision_bits, index=i + 1)
-            if eigenvalue_branches(phi, root, precision_bits)[0].classification == tag:
-                return root
+            if _branch_class(_w_interval(theta, precision_bits)) == tag:
+                return CircleRoot.from_theta(theta, precision_bits, index=i + 1)
         raise NoSiegelRoot(f"no certified {tag} root found")
 
     return witness("siegel", lambda w: w < 1.98), witness("nonsiegel", lambda w: w > 2.02)
 
 
-# -- exact integrality certificates ------------------------------------
+# -- exact integrality certificate --------------------------------------
 
 
 @dataclass(frozen=True)
 class IntegralityCertificate:
-    """Exact-division witnesses that alpha + beta is an algebraic integer."""
+    """E_n(omega) = a + b omega in Z[omega] and its norm N = a^2 - ab + b^2.
+
+    N = Res(E_n, x^2+x+1) = prod (delta^2 + delta + 1) over the roots of
+    E_n is a product of integer norms, one per irreducible factor, so
+    N = 1 makes 1 + delta + delta^2 a unit at every root of phi; then
+    s = +/- delta(1+delta)/(1+delta+delta^2), and with it alpha and beta,
+    are algebraic integers.
+    """
 
     n: int
-    a_poly: IntPoly
-    remainder1: IntPoly
-    c_poly: IntPoly
-    a_at_minus2: int
+    a: int
+    b: int
+    norm: int
     checks: tuple[tuple[str, bool], ...]
 
     @property
@@ -231,43 +240,28 @@ class IntegralityCertificate:
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "a_poly": self.a_poly.to_json(),
-            "remainder1": self.remainder1.to_json(),
-            "c_poly": self.c_poly.to_json(),
-            "a_at_minus2": str(self.a_at_minus2),
+            "a": self.a,
+            "b": self.b,
+            "norm": self.norm,
             "checks": [[name, ok] for name, ok in self.checks],
             "passed": self.passed,
         }
 
 
 def integrality_certificate(n: int) -> IntegralityCertificate:
-    """Exact certificates: E_n(x)(x-1) = (x^2+x+1) A(x) - (x+2) and
-    E_n(x) = (x+2) C(x) - A(-2).  No floating point anywhere."""
-    e_n = en_from_formula(n)
-    lhs = e_n * poly(-1, 1)
-    a_poly, rem1 = lhs.divmod(poly(1, 1, 1))
-    check1 = rem1 == poly(-2, -1)  # remainder must be -(x+2)
-    a_m2 = a_poly.eval_int(-2)
-    check2 = e_n.eval_int(-2) == -a_m2
-    c_poly, rem2 = (e_n + poly(a_m2)).divmod(poly(2, 1))
-    check3 = rem2.is_zero()
+    """Exact norm of E_n(omega), omega a primitive cube root of unity.
+
+    The coefficients of E_n are reduced by omega^3 = 1 and
+    omega^2 = -1 - omega; no floating point anywhere.
+    """
+    c = en_from_formula(n).coeffs
+    c0, c1, c2 = sum(c[0::3]), sum(c[1::3]), sum(c[2::3])
+    a, b = c0 - c2, c1 - c2
+    norm = a * a - a * b + b * b
     return IntegralityCertificate(
-        n=n, a_poly=a_poly, remainder1=rem1, c_poly=c_poly, a_at_minus2=a_m2,
-        checks=(
-            ("remainder_is_minus_x_plus_2", check1),
-            ("A_at_minus2_equals_minus_En_at_minus2", check2),
-            ("x_plus_2_divides_En_plus_A_minus2", check3),
-        ),
+        n=n, a=a, b=b, norm=norm,
+        checks=(("n_is_1_mod_6", n % 6 == 1), ("norm_is_1", norm == 1)),
     )
-
-
-def numeric_integrality_check(cert: IntegralityCertificate, delta: ComplexBall,
-                              precision_bits: int) -> RealBall:
-    """|A(delta)/(delta+2) - 1/(delta^2+delta+1)| as a certified ball."""
-    a_val = eval_ball(cert.a_poly, delta)
-    lhs = a_val / (delta + 2)
-    rhs = 1 / (delta * delta + delta + 1)
-    return (lhs - rhs).abs_ball()
 
 
 # -- assembled pair data ------------------------------------------------
@@ -290,9 +284,9 @@ class McMullenPairData:
     entropy: RealBall
     certificate: IntegralityCertificate
     precision_bits: int
-    alpha_arg_turns: RealBall = None  # arg(alpha) / 2 pi in [0, 1)
-    beta_arg_turns: RealBall = None
-    ratio_prime: RealBall = None      # certified |alpha' / beta'|
+    alpha_arg_turns: RealBall         # arg(alpha) / 2 pi in [0, 1)
+    beta_arg_turns: RealBall
+    ratio_prime: RealBall             # certified |alpha' / beta'|
 
     def to_json(self) -> dict:
         return {

@@ -59,6 +59,18 @@ def test_failed_certificate_exits_2():
     assert report["report"]["passed"] is False
 
 
+def test_certificate_with_vanishing_norm_exits_2():
+    res = run_cli("mcmullen", "certificate", "--n", "21")   # Phi_3 | E_21
+    assert res.returncode == 2
+    assert json.loads(res.stdout)["report"]["norm"] == 0
+
+
+def test_certificate_report_is_small_at_large_n():
+    res = run_cli("mcmullen", "certificate", "--n", "3259")
+    assert res.returncode == 0 and len(res.stdout) < 1024
+    assert json.loads(res.stdout)["passed"] is True
+
+
 def test_unknown_flag_exits_64_with_usage():
     res = run_cli("coxeter", "factor", "--n", "19", "--no-such-flag")
     assert res.returncode == 64

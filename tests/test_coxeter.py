@@ -5,8 +5,7 @@ import pytest
 from salemforge.polyring import IntPoly, poly
 from salemforge.coxeter import (CoxeterSystem, FormulaConsistencyError,
                                 StructureError, charpoly, en_from_formula,
-                                en_from_matrix, gram_matrix, salem_factor,
-                                salem_trace)
+                                en_from_matrix, gram_matrix, salem_factor)
 
 # x^14 - x^13 - x^11 + x^10 - x^7 + x^4 - x^3 - x + 1, ascending
 PHI_14 = IntPoly([1, -1, 0, -1, 1, 0, 0, -1, 0, 0, 1, -1, 0, -1, 1])
@@ -69,25 +68,3 @@ def test_salem_candidate_shape_guard():
     # a wrong n would leave a non-reciprocal remainder; simulate directly
     with pytest.raises((StructureError, FormulaConsistencyError, ValueError)):
         salem_factor(poly(1, 2, 1, 1), 19)
-
-
-def test_salem_trace_identity_phi14():
-    r = salem_trace(PHI_14)
-    assert r.degree == 7
-    # x^m r(x + 1/x) = phi(x) cleared of denominators, exact at integers
-    m = 7
-    for x in (2, 3, 5):
-        num = sum(c * (x * x + 1) ** i * x ** (m - i)
-                  for i, c in enumerate(r.coeffs))
-        assert num == PHI_14.eval_int(x)
-
-
-def test_salem_trace_rejects_non_reciprocal():
-    with pytest.raises(ValueError):
-        salem_trace(poly(1, 2, 1, 1))
-
-
-def test_salem_trace_large_degree():
-    phi = salem_factor(en_from_formula(739), 739).salem_candidate
-    assert phi.degree == 734
-    assert salem_trace(phi).degree == 367

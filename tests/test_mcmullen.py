@@ -6,11 +6,11 @@ import pytest
 from salemforge.mcmullen import (CircleRoot, NoSiegelRoot, PoleError,
                                  eigenvalue_branches, find_witness_roots,
                                  integrality_certificate, mcmullen_data,
-                                 numeric_integrality_check, scan_siegel_roots,
-                                 _w_interval)
+                                 scan_siegel_roots, _w_interval)
 from salemforge.polyring import poly
 from salemforge.roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
-                              eval_ball, salem_eta, unit_exp_ball)
+                              eval_ball, isolate_roots, salem_eta,
+                              unit_exp_ball)
 from salemforge.coxeter import en_from_formula, salem_factor
 
 TOL = mp.mpf(2) ** -100
@@ -136,24 +136,48 @@ def test_witness_and_eta_balls_hold_a_sign_change():
     assert _sign_certified_opposite(phi_ball(eta.lo), phi_ball(eta.hi))
 
 
-@pytest.mark.parametrize("n", [19, 25, 31, 37, 43])
+def _distance_at_omega(n, a, b):
+    """|E_n(omega) - (a + b omega)| by mpmath, omega = e^(2 pi i / 3)."""
+    with mp.workprec(200):
+        omega = mp.expjpi(mp.mpf(2) / 3)
+        value = mp.polyval(list(reversed(en_from_formula(n).coeffs)), omega)
+        return abs(value - (a + b * omega))
+
+
+@pytest.mark.parametrize("n", [13, 19, 25, 31, 37, 43, 739, 3259])
 def test_integrality_certificate_passes(n):
     cert = integrality_certificate(n)
     assert cert.passed
-    # the two exact divisions reconstruct E_n
-    e_n = en_from_formula(n)
-    from salemforge.polyring import poly
-    assert cert.a_poly * poly(1, 1, 1) + poly(-2, -1) == e_n * poly(-1, 1)
-    assert cert.c_poly * poly(2, 1) - poly(cert.a_at_minus2) == e_n
+    # (omega - 1) E_n(omega) = -omega^(n-1) + omega^2 = omega^2 - 1 for
+    # n = 1 mod 6, so E_n(omega) = 1 + omega, of norm 1
+    assert (cert.a, cert.b, cert.norm) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("n, a, b", [(13, 1, 1), (20, 0, 1), (21, 0, 0)])
+def test_reduction_matches_evaluation_at_omega(n, a, b):
+    cert = integrality_certificate(n)
+    assert (cert.a, cert.b) == (a, b)
+    assert _distance_at_omega(n, a, b) < mp.mpf(2) ** -150
 
 
 def test_integrality_certificate_fails_for_n20():
-    assert not integrality_certificate(20).passed
+    cert = integrality_certificate(20)
+    assert cert.norm == 1 and not cert.passed      # E_20(omega) = omega
+    assert dict(cert.checks) == {"n_is_1_mod_6": False, "norm_is_1": True}
 
 
-def test_numeric_integrality_check(data19):
-    res = numeric_integrality_check(data19.certificate, data19.delta.ball, 256)
-    assert res.hi < mp.mpf(2) ** -100
+def test_integrality_certificate_fails_for_n21():
+    cert = integrality_certificate(21)              # Phi_3 divides E_21
+    assert cert.norm == 0 and not cert.passed
+
+
+def test_norm_is_the_product_over_oracle_roots(phi14):
+    """prod (delta^2 + delta + 1) over the Aberth roots of phi_14 holds 1,
+    the norm the certificate gives exactly for E_19."""
+    prod = ComplexBall.exact(1, 256)
+    for z in isolate_roots(phi14, 256).balls():
+        prod = prod * (z * z + z + 1)
+    assert prod.contains(1) and prod.radius < mp.mpf(2) ** -100
 
 
 def test_mcmullen_data_validations():

@@ -1,5 +1,7 @@
 """Product fixed-point enumeration, classification, and entropy."""
 
+from dataclasses import replace
+
 import mpmath as mp
 import pytest
 
@@ -26,6 +28,13 @@ def test_spec_requires_exact_entry_consumption(seq19_739):
         build_product_spec([("mcmullen", 19)], seq19_739)   # 2 of 4 used
     with pytest.raises(SpecError):
         build_product_spec([("mcmullen", 739)], seq19_739)  # wrong source
+
+
+def test_spec_rejects_source_without_integrality_certificate(seq19_739):
+    # the n = 19 pair relabelled as source 20, whose certificate fails
+    pair = tuple(replace(e, source_n=20) for e in seq19_739.entries[:2])
+    with pytest.raises(SpecError, match="n=20"):
+        build_product_spec([("mcmullen", 20)], replace(seq19_739, entries=pair))
 
 
 def test_spec_rejects_two_toric_factors(seq19_739):
