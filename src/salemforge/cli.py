@@ -17,8 +17,8 @@ from .polyring import IntPoly, NonMonicDivisorError
 from .coxeter import (FormulaConsistencyError, StructureError,
                       en_from_formula, en_from_matrix, salem_factor)
 from .roots import IsolationError, NotSalemError
-from .mcmullen import (NoSiegelRoot, NotSalemInput, PoleError,
-                       integrality_certificate, mcmullen_data)
+from .mcmullen import (IntegralityFailure, NoSiegelRoot, NotSalemInput,
+                       PoleError, integrality_certificate, mcmullen_data)
 from .mau import (DegreeCertificateFailure, IndependenceFalsified,
                   PrecisionTooLow, WitnessFailure, load_arguments,
                   load_sequence, mau_build, relation_search)
@@ -39,7 +39,7 @@ _VALIDATION_ERRORS = (SpecError, FanError, NotSalemInput, PoleError,
 _CONSISTENCY_ERRORS = (FormulaConsistencyError, StructureError,
                        DegreeCertificateFailure, WitnessFailure,
                        IndependenceFalsified, NotSalemError, IsolationError,
-                       NoSiegelRoot)
+                       NoSiegelRoot, IntegralityFailure)
 
 
 class ConsistencyFailure(RuntimeError):

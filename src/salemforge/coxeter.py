@@ -2,17 +2,20 @@
 
 E_n(x) is produced two independent ways: a sparse closed formula divided
 exactly by (x - 1), and the characteristic polynomial of the product of
-the n simple reflections.  The factorization splits E_n into its
-cyclotomic part and the Salem candidate.
+the n simple reflections.  The factorization splits E_n exactly into its
+cyclotomic part (the Phi_d with d | 360 that divide it) and the Salem
+candidate, and certifies by three gcds modulo one prime that the
+candidate has no cyclotomic factor left.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .polyring import IntPoly, ONE, cyclotomic, euler_phi, monomial, poly
+from .polyring import (IntPoly, ONE, cyclotomic, divisors, euler_phi,
+                       monomial, poly)
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -125,6 +128,11 @@ def en_from_matrix(n: int) -> IntPoly:
     return charpoly(CoxeterSystem.build(n).coxeter_matrix)
 
 
+# largest prime below 2^25: np.convolve on int64 residues stays exact
+# while EXCLUSION_PRIME^2 * ceil((deg + 1) / 2) < 2^63, about degree 16 000
+EXCLUSION_PRIME = 33_554_393
+
+
 @dataclass(frozen=True)
 class SalemFactorization:
     n: int
@@ -132,7 +140,12 @@ class SalemFactorization:
     cyclotomic_part: tuple[tuple[int, int], ...]  # (d, multiplicity), ascending d
     salem_candidate: IntPoly
     residue_class: int
-    note: str = "root pattern certified; irreducibility of the non-cyclotomic factor not independently proven"
+    exclusion_prime: int          # the three gcds below are 1 modulo this prime
+    note: str = ("no cyclotomic factor in salem_candidate: gcd(f, f1), "
+                 "gcd(f(-x), f1) and gcd(f(x), f(-x)) are 1 mod exclusion_prime, "
+                 "where f1(x^2) = f(x)f(-x); irreducibility follows by Kronecker "
+                 "once exactly one root lies outside the closed unit disk, "
+                 "which this report does not certify")
 
     def cyclotomic_product(self) -> IntPoly:
         out = ONE
@@ -147,96 +160,91 @@ class SalemFactorization:
             "cyclotomic_part": [[d, m] for d, m in self.cyclotomic_part],
             "salem_candidate": self.salem_candidate.to_json(),
             "residue_class": self.residue_class,
+            "exclusion_prime": self.exclusion_prime,
             "note": self.note,
         }
 
 
-def _totient_sieve(limit: int) -> np.ndarray:
-    phi = np.arange(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # prime
-            phi[p::p] -= phi[p::p] // p
-    return phi
+def _phi_d_divides(f: IntPoly, d: int) -> bool:
+    """Phi_d | f, by folding f mod x^d - 1 and reducing that mod Phi_d."""
+    folded = IntPoly([sum(f.coeffs[r::d]) for r in range(d)])
+    return folded.divmod(cyclotomic(d))[1].is_zero()
 
 
-def _cyclotomic_candidates(deg: int, dmax: int) -> list[int]:
-    """All d <= dmax with euler_phi(d) <= deg, ascending."""
-    if dmax < 1:
-        return []
-    if dmax <= 2_000_000:
-        phi = _totient_sieve(dmax)
-        return [int(d) for d in np.nonzero(phi[1:] <= deg)[0] + 1]
-    return [d for d in range(1, dmax + 1) if euler_phi(d) <= deg]
+def _trim(a: np.ndarray) -> np.ndarray:
+    nz = np.flatnonzero(a)
+    return a[:nz[-1] + 1] if nz.size else a[:0]
 
 
-def _screen_cyclotomic_divisors(p: IntPoly, candidates: list[int]) -> list[int]:
-    """Numeric pre-filter: d survives only if p(e^(2 pi i / d)) could be 0.
+def _gcd_degree_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> int:
+    """Degree of gcd(a, b) over GF(p); residues in [0, p), ascending."""
+    a, b = _trim(a), _trim(b)
+    while b.size:
+        b = b * pow(int(b[-1]), p - 2, p) % p
+        a, db = a.copy(), b.size - 1
+        for i in range(a.size - 1, db - 1, -1):
+            c = int(a[i])
+            if c:
+                a[i - db:i + 1] = (a[i - db:i + 1] - c * b) % p
+        a, b = b, _trim(a[:db])
+    return a.size - 1
 
-    Exact divisibility is re-checked by the caller; this only prunes.
+
+def _graeffe_mod_p(f: np.ndarray, p: int) -> np.ndarray:
+    """f1 with f1(x^2) = f(x)f(-x), as e(y)^2 - y o(y)^2 for f = e(x^2) + x o(x^2)."""
+    e, o = f[0::2], f[1::2]
+    if p * p * e.size >= 2**63:
+        raise ValueError(f"degree {f.size - 1} is too large for exact int64 "
+                         f"convolution modulo {p}")
+    e2, o2 = np.convolve(e, e) % p, np.convolve(o, o) % p
+    out = np.zeros(max(e2.size, o2.size + 1), dtype=np.int64)
+    out[:e2.size] = e2
+    out[1:o2.size + 1] -= o2
+    return out % p
+
+
+def salem_factor(e_n: IntPoly, n: int) -> SalemFactorization:
+    """Split E_n into its cyclotomic part and a Salem candidate f, exactly.
+
+    Each Phi_d with d | 360 is divided out while it divides.  Then f
+    (monic, reciprocal, of even degree) is certified to have no
+    cyclotomic factor at all (Bradford & Davenport, 1988): with f1 the
+    Graeffe square, f1(x^2) = f(x)f(-x), and zeta a primitive d-th root
+    of unity with f(zeta) = 0,
+      d odd:       zeta^2 is a primitive d-th root, so f and f1 share it;
+      d = 2 mod 4: zeta^2 is a primitive d/2-th root, a root of f(-x) and f1;
+      4 | d:       -zeta is a primitive d-th root, so f(x) and f(-x) share zeta.
+    The three gcds are taken modulo EXCLUSION_PRIME.  A common factor of
+    monic integer polynomials is monic and integral (Gauss) and keeps its
+    degree mod p, so coprime mod p implies coprime over Q.  A nontrivial
+    gcd raises StructureError: no wrong candidate is ever returned.
     """
-    if not candidates:
-        return []
-    cs = np.array(p.coeffs, dtype=np.float64)
-    zs = np.exp(2j * np.pi / np.array(candidates, dtype=np.float64))
-    vals = np.zeros(len(candidates), dtype=np.complex128)
-    for c in cs[::-1]:
-        vals = vals * zs + c
-    # conservative round-off allowance for Horner on the unit circle
-    tol = max(1e-6, 4.0 * len(cs) * float(np.abs(cs).sum()) * 2.0**-53)
-    assert tol < 0.1, "coefficients too large for the float screen"
-    return [d for d, v in zip(candidates, vals) if abs(v) <= tol]
-
-
-def salem_factor(e_n: IntPoly, n: int, screen_cap: int = 10_000,
-                 use_periodicity: bool | None = None) -> SalemFactorization:
-    """Split E_n into cyclotomic part and Salem candidate by exact stripping.
-
-    For large n a fast path first strips the factors stored for the
-    residue class n mod 360 (exact by the mod-360 periodicity of C_n),
-    then confirms no further cyclotomic divisor up to `screen_cap`.
-    """
-    deg = e_n.degree
-    if use_periodicity is None:
-        use_periodicity = deg > 400
     rem = e_n
     found: dict[int, int] = {}
-
-    if use_periodicity:
-        rho = n % 360
-        if rho < 10:
-            rho += 360
-        base = salem_factor(en_from_formula(rho), rho, use_periodicity=False)
-        for d, mult in base.cyclotomic_part:
-            for _ in range(mult):
-                quot, r = rem.divmod(cyclotomic(d))
-                if not r.is_zero():
-                    raise FormulaConsistencyError(
-                        f"periodicity fast path: Phi_{d} does not divide E_{n}")
-                rem = quot
-                found[d] = found.get(d, 0) + 1
-        dmax = screen_cap
-    else:
-        dmax = min(4 * deg * deg, max(screen_cap, 2 * deg * deg))
-
-    candidates = _cyclotomic_candidates(rem.degree, dmax)
-    suspects = _screen_cyclotomic_divisors(rem, candidates)
-    for d in suspects:
-        phi_d = cyclotomic(d)
-        while rem.degree >= phi_d.degree:
-            quot, r = rem.divmod(phi_d)
-            if not r.is_zero():
-                break
-            rem = quot
+    for d in divisors(360):
+        while rem.degree >= euler_phi(d) and _phi_d_divides(rem, d):
+            rem = rem.divmod(cyclotomic(d))[0]
             found[d] = found.get(d, 0) + 1
-            if rem.degree == 0:
-                break
 
     if rem.degree % 2 != 0 or not rem.is_monic() or not rem.is_reciprocal():
         raise StructureError(
             f"Salem candidate for n={n} is not monic reciprocal of even degree: {rem}")
+    p = EXCLUSION_PRIME
+    f = np.array([c % p for c in rem.coeffs], dtype=np.int64)
+    f_neg = f.copy()
+    f_neg[1::2] = (-f_neg[1::2]) % p
+    f1 = _graeffe_mod_p(f, p)
+    for a, b, name, orders in ((f, f1, "gcd(f, f1)", "odd d"),
+                               (f_neg, f1, "gcd(f(-x), f1)", "d = 2 mod 4"),
+                               (f, f_neg, "gcd(f(x), f(-x))", "d = 0 mod 4")):
+        if _gcd_degree_mod_p(a, b, p) > 0:
+            raise StructureError(
+                f"E_{n}: {name} is nontrivial mod {p}, so a factor Phi_d with "
+                f"{orders} (d not dividing 360) is not excluded")
     return SalemFactorization(
         n=n, e_n=e_n,
-        cyclotomic_part=tuple(sorted(found.items())),
+        cyclotomic_part=tuple(found.items()),
         salem_candidate=rem,
         residue_class=n % 360,
+        exclusion_prime=p,
     )

@@ -19,9 +19,8 @@ from typing import Optional
 import mpmath as mp
 
 from .polyring import IntPoly
-from .coxeter import en_from_formula, euler_phi, salem_factor
-from .mcmullen import (IntegralityCertificate, NoSiegelRoot,
-                       integrality_certificate, mcmullen_data)
+from .coxeter import en_from_formula, salem_factor
+from .mcmullen import IntegralityCertificate, NoSiegelRoot, _pair_data
 from .roots import GUARD_BITS, ComplexBall, RealBall
 
 
@@ -448,21 +447,22 @@ def load_sequence(path) -> MAUSequence:
 
 
 def _cyclotomic_degree(fact) -> int:
-    return sum(euler_phi(d) * m for d, m in fact.cyclotomic_part)
+    return fact.e_n.degree - fact.salem_candidate.degree
 
 
-def _source_pair(n: int, fact, precision_bits: int, *, k: int, q: int,
+def _source_pair(fact, precision_bits: int, *, k: int, q: int,
                  witness: dict, degree_bound: int, q_exceeds_bound: bool,
                  note: str = ExtensionCertificate.note
                  ) -> tuple[tuple[MAUEntry, MAUEntry], ExtensionCertificate]:
-    """The (alpha, beta) entries of source n and their certificate.
+    """The (alpha, beta) entries of source n = fact.n and their certificate.
 
-    fact is the factorization of E_n; one Siegel and one non-Siegel root
-    are certified, and |alpha'/beta'| must be certified != 1.
+    fact is the factorization of E_n, reused for the eigenvalue data; one
+    Siegel and one non-Siegel root are certified, and |alpha'/beta'| must
+    be certified != 1.
     """
-    phi = fact.salem_candidate
+    n, phi = fact.n, fact.salem_candidate
     try:
-        data = mcmullen_data(n, precision_bits=precision_bits)
+        data = _pair_data(fact, precision_bits)
     except NoSiegelRoot as exc:
         raise WitnessFailure(str(exc)) from exc
     ratio = data.ratio_prime
@@ -512,7 +512,7 @@ def mau_extend(seq: MAUSequence, precision_bits: int = 512,
         raise DegreeCertificateFailure(
             f"deg phi = {phi.degree}, expected {n - 5} for k={k}")
 
-    pair, cert = _source_pair(n, fact, precision_bits, k=k, q=q, witness=witness,
+    pair, cert = _source_pair(fact, precision_bits, k=k, q=q, witness=witness,
                               degree_bound=seq.degree_bound,
                               q_exceeds_bound=q > seq.degree_bound)
     entries = seq.entries + pair
@@ -555,7 +555,7 @@ def mau_seed(ns: list[int], precision_bits: int = 512,
         q = fact.salem_candidate.degree // 2      # deg r of the trace polynomial
         prime, witness = is_prime(q)
         pair, cert = _source_pair(
-            n, fact, precision_bits, k=(n - 19) // 360, q=q, witness=witness,
+            fact, precision_bits, k=(n - 19) // 360, q=q, witness=witness,
             degree_bound=seq.degree_bound,
             q_exceeds_bound=prime and q > seq.degree_bound,
             note="explicitly seeded source; growth guarantee not certified")

@@ -19,7 +19,7 @@ from typing import Optional
 import mpmath as mp
 
 from .polyring import IntPoly
-from .coxeter import en_from_formula, salem_factor
+from .coxeter import SalemFactorization, en_from_formula, salem_factor
 from .roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
                     arccos_ball, circle_root, circle_root_arguments,
                     circle_root_brackets, cos_ball, log_ball,
@@ -36,6 +36,10 @@ class NoSiegelRoot(RuntimeError):
 
 class NotSalemInput(ValueError):
     """Input polynomial is not Salem-certified."""
+
+
+class IntegralityFailure(RuntimeError):
+    """The integrality certificate of a source n failed."""
 
 
 @dataclass(frozen=True)
@@ -331,8 +335,14 @@ def mcmullen_data(n: int, precision_bits: int = 256,
         raise ValueError(f"n must be 1 mod 6, got {n}")
     if n < 13:
         raise ValueError("n must be at least 13")
-    fact = salem_factor(en_from_formula(n), n)
-    phi = fact.salem_candidate
+    return _pair_data(salem_factor(en_from_formula(n), n), precision_bits,
+                      branch_sign)
+
+
+def _pair_data(fact: SalemFactorization, precision_bits: int,
+               branch_sign: int = +1) -> McMullenPairData:
+    """mcmullen_data from a factorization of E_n the caller already holds."""
+    n, phi = fact.n, fact.salem_candidate
     if phi.degree <= 40:
         siegel, nonsiegel = scan_siegel_roots(phi, precision_bits)
         if not nonsiegel:
@@ -350,7 +360,7 @@ def mcmullen_data(n: int, precision_bits: int = 256,
 
     cert = integrality_certificate(n)
     if not cert.passed:
-        raise RuntimeError(f"integrality certificate failed for n={n}")
+        raise IntegralityFailure(f"integrality certificate failed for n={n}")
     eta = salem_eta(phi, precision_bits)
     entropy = log_ball(eta, precision_bits)
 

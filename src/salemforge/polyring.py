@@ -126,11 +126,6 @@ class IntPoly:
                     rem[i - dq + j] -= c * qc
         return IntPoly(quot), IntPoly(rem)
 
-    def divides_exactly(self, q: "IntPoly") -> bool:
-        """True iff monic q divides self with zero remainder."""
-        _, rem = self.divmod(q)
-        return rem.is_zero()
-
     # -- evaluation and structure -------------------------------------
 
     def eval_int(self, t: int) -> int:
@@ -245,23 +240,6 @@ def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
     if not a.is_zero() and a.leading() < 0:
         a = -a
     return a
-
-
-def squarefree_part(p: IntPoly) -> IntPoly:
-    """p divided by gcd(p, p'): same root set, multiplicities dropped."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return ONE
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return p.primitive_part()
-    # g divides p over Q; over Z the primitive parts divide exactly
-    lc = g.leading()
-    scaled = p * lc ** (p.degree - g.degree + 1)
-    quot, rem = _scaled_div(scaled, g)
-    assert rem.is_zero(), "gcd(p, p') must divide p"
-    return quot.primitive_part()
 
 
 def _scaled_div(p: IntPoly, q: IntPoly) -> tuple[IntPoly, IntPoly]:

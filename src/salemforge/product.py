@@ -22,7 +22,7 @@ import mpmath as mp
 from .polyring import IntPoly
 from .mau import (MAUSequence, RelationReport, relation_search,
                   PrecisionTooLow)
-from .mcmullen import integrality_certificate
+from .mcmullen import IntegralityFailure, integrality_certificate
 from .roots import GUARD_BITS, RealBall, log_ball, salem_eta
 from .toric import (Fan, TorusElement, ToricFixedPoint, check_fan,
                     fixed_points as toric_fixed_points, load_fan)
@@ -111,7 +111,8 @@ def build_product_spec(descriptors: list, joint_mau: MAUSequence,
                     f"entries {cursor},{cursor + 1} are not the (alpha, beta) "
                     f"pair of source {n}")
             if not integrality_certificate(n).passed:
-                raise SpecError(f"integrality certificate failed for source n={n}")
+                raise IntegralityFailure(
+                    f"integrality certificate failed for source n={n}")
             factors.append(McMullenFactor(
                 n=n, phi=a.minimal_poly, alpha_arg=a.argument_turns,
                 beta_arg=b.argument_turns, entry_indices=(cursor, cursor + 1)))

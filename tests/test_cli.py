@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -36,6 +37,7 @@ def test_coxeter_factor_19():
     report = json.loads(res.stdout)
     assert report["cyclotomic_part"] == [[2, 1], [5, 1]]
     assert [int(c) for c in report["salem_candidate"]] == PHI_14
+    assert report["exclusion_prime"] == 33_554_393
     _assert_no_bare_floats(report)
 
 
@@ -149,6 +151,22 @@ def test_toric_fixed_points_from_sequence(seq_file):
     report = json.loads(res.stdout)
     assert report["count"] == 3
     _assert_no_bare_floats(report)
+
+
+def test_product_classify_without_integrality_certificate_exits_2(
+        seq19_739, tmp_path):
+    # the n = 19 pair relabelled as source 20, whose certificate fails
+    pair = tuple(replace(e, source_n=20) for e in seq19_739.entries[:2])
+    replace(seq19_739, entries=pair).dump(tmp_path / "seq20.json")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"factors": [{"type": "mcmullen", "n": 20}],
+         "mau": str(tmp_path / "seq20.json")}))
+    res = run_cli("product", "classify", str(spec), "--precision", "512")
+    assert res.returncode == 2
+    report = json.loads(res.stdout)
+    assert report["kind"] == "consistency"
+    assert report["type"] == "IntegralityFailure"
 
 
 def test_product_classify_spec_file(seq_file, tmp_path):

@@ -1,10 +1,12 @@
 """Coxeter element, its characteristic polynomial, and Salem splitting."""
 
+import numpy as np
 import pytest
 
-from salemforge.polyring import IntPoly, poly
-from salemforge.coxeter import (CoxeterSystem, FormulaConsistencyError,
-                                StructureError, charpoly, en_from_formula,
+from salemforge.polyring import IntPoly, cyclotomic, euler_phi, poly
+from salemforge.coxeter import (EXCLUSION_PRIME, CoxeterSystem,
+                                FormulaConsistencyError, StructureError,
+                                _graeffe_mod_p, charpoly, en_from_formula,
                                 en_from_matrix, gram_matrix, salem_factor)
 
 # x^14 - x^13 - x^11 + x^10 - x^7 + x^4 - x^3 - x + 1, ascending
@@ -49,6 +51,7 @@ def test_e19_factorization():
     assert fact.cyclotomic_part == ((2, 1), (5, 1))
     assert fact.salem_candidate == PHI_14
     assert fact.cyclotomic_product() * fact.salem_candidate == fact.e_n
+    assert fact.exclusion_prime == EXCLUSION_PRIME
 
 
 def test_e10_gives_lehmer():
@@ -56,12 +59,43 @@ def test_e10_gives_lehmer():
     assert fact.salem_candidate == LEHMER
 
 
-def test_periodicity_fast_path_agrees():
-    e = en_from_formula(379)
-    slow = salem_factor(e, 379, use_periodicity=False)
-    fast = salem_factor(e, 379, use_periodicity=True)
-    assert slow.cyclotomic_part == fast.cyclotomic_part
-    assert slow.salem_candidate == fast.salem_candidate
+def test_no_cyclotomic_factor_divides_phi_oracle():
+    # exhaustive exact oracle: phi(d) >= sqrt(d / 2), so every Phi_d of
+    # degree <= top has d <= 2 top^2
+    facts = [salem_factor(en_from_formula(n), n) for n in range(10, 61)]
+    top = max(f.salem_candidate.degree for f in facts)
+    small = [d for d in range(1, 2 * top * top + 1) if euler_phi(d) <= top]
+    for fact in facts:
+        phi, n = fact.salem_candidate, fact.n
+        assert fact.cyclotomic_product() * phi == fact.e_n
+        for d in small:
+            if euler_phi(d) <= phi.degree:
+                assert not phi.divmod(cyclotomic(d))[1].is_zero(), (n, d)
+
+
+@pytest.mark.parametrize("d, gcd", [(7, r"gcd\(f, f1\)"),
+                                    (14, r"gcd\(f\(-x\), f1\)"),
+                                    (28, r"gcd\(f\(x\), f\(-x\)\)")],
+                         ids=["d7", "d14", "d28"])
+def test_planted_cyclotomic_factor_is_caught_by_its_gcd(d, gcd):
+    # d = 7, 14, 28 do not divide 360, so only the exclusion can see them
+    with pytest.raises(StructureError, match=gcd):
+        salem_factor(PHI_14 * cyclotomic(d), 19)
+
+
+def test_large_cyclotomic_factor_is_not_missed():
+    # Phi_10080(x) = Phi_210(x^48) has degree 2304 and 10080 does not divide 360
+    coeffs = [0] * (48 * 48 + 1)
+    coeffs[::48] = cyclotomic(210).coeffs
+    with pytest.raises(StructureError, match="d = 0 mod 4"):
+        salem_factor(IntPoly(coeffs) * en_from_formula(739), 739)
+
+
+def test_graeffe_refuses_degree_beyond_exact_int64():
+    # e(y) has 8193 coefficients: EXCLUSION_PRIME^2 * 8193 >= 2^63
+    with pytest.raises(ValueError, match="too large"):
+        _graeffe_mod_p(np.ones(16_385, dtype=np.int64), EXCLUSION_PRIME)
+    assert _graeffe_mod_p(np.ones(16_383, dtype=np.int64), EXCLUSION_PRIME).size
 
 
 def test_salem_candidate_shape_guard():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from salemforge.polyring import (IntPoly, NonMonicDivisorError, ONE, X,
                                  cyclotomic, divisors, euler_phi, monomial,
-                                 poly, poly_gcd, squarefree_part)
+                                 poly, poly_gcd)
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50),
                        min_size=0, max_size=8)
@@ -81,12 +81,6 @@ def test_gcd_of_common_factor():
     f = poly(1, 1)
     g = poly_gcd(f * poly(2, 3, 1), f * poly(-5, 1))
     assert g == f
-
-
-def test_squarefree_part_drops_multiplicity():
-    p = poly(-1, 1) ** 3 * poly(1, 1)
-    sf = squarefree_part(p)
-    assert sf == poly(-1, 1) * poly(1, 1)
 
 
 def test_divisors_and_phi():

@@ -10,6 +10,7 @@ from salemforge.product import (FixedPoint, McMullenFactor, ProductSpec,
                                 enumerate_fixed_points, product_entropy,
                                 siegel_count, SIEGEL, NONSIEGEL)
 from salemforge.mau import MAUSequence
+from salemforge.mcmullen import IntegralityFailure
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +34,7 @@ def test_spec_requires_exact_entry_consumption(seq19_739):
 def test_spec_rejects_source_without_integrality_certificate(seq19_739):
     # the n = 19 pair relabelled as source 20, whose certificate fails
     pair = tuple(replace(e, source_n=20) for e in seq19_739.entries[:2])
-    with pytest.raises(SpecError, match="n=20"):
+    with pytest.raises(IntegralityFailure, match="n=20"):
         build_product_spec([("mcmullen", 20)], replace(seq19_739, entries=pair))
 
 
