@@ -15,7 +15,8 @@ import click
 
 from .polyring import IntPoly, NonMonicDivisorError
 from .coxeter import (FormulaConsistencyError, StructureError,
-                      en_from_formula, en_from_matrix, salem_factor)
+                      en_from_formula, en_from_matrix, salem_factor,
+                      salem_pattern)
 from .roots import IsolationError, NotSalemError
 from .mcmullen import (IntegralityFailure, NoSiegelRoot, NotSalemInput,
                        PoleError, integrality_certificate, mcmullen_data)
@@ -101,8 +102,15 @@ def coxeter_poly(n, out):
 @_out_opt
 def coxeter_factor(n, out):
     fact = salem_factor(en_from_formula(n), n)
+    pattern = salem_pattern(n)
     report = fact.to_json()
+    report["salem_pattern"] = pattern.to_json()
+    # no cyclotomic factor (salem_factor) and one root outside the
+    # closed disk (pattern): Kronecker
+    report["irreducible"] = pattern.passed
     report["run_config"] = _run_config(0, 0, out)
+    if not pattern.passed:
+        raise ConsistencyFailure(f"Salem pattern not certified for n={n}", report)
     _emit(report, out)
 
 

@@ -5,7 +5,10 @@ exactly by (x - 1), and the characteristic polynomial of the product of
 the n simple reflections.  The factorization splits E_n exactly into its
 cyclotomic part (the Phi_d with d | 360 that divide it) and the Salem
 candidate, and certifies by three gcds modulo one prime that the
-candidate has no cyclotomic factor left.
+candidate has no cyclotomic factor left.  salem_pattern certifies by
+exact algebra, for every n >= 10, that E_n has n - 2 simple roots on the
+unit circle and one real root in (1, rho); with no cyclotomic factor
+left, Kronecker's theorem then makes the Salem candidate irreducible.
 """
 
 from __future__ import annotations
@@ -112,11 +115,17 @@ def charpoly(a) -> IntPoly:
     return IntPoly(coeffs)
 
 
+# E_n(x)(x - 1) = x^(n-2) P(x) - P*(x): the real root rho ~ 1.3247 of P is
+# the smallest Pisot number (Salem 1945; Boyd, "Small Salem numbers", 1977)
+PISOT = poly(-1, -1, 0, 1)             # P(x) = x^3 - x - 1
+PISOT_STAR = poly(1, 0, -1, -1)        # P*(x) = x^3 P(1/x)
+
+
 def en_from_formula(n: int) -> IntPoly:
-    """E_n(x) from E_n(x)(x-1) = x^(n-2)(x^3-x-1) + (x^3+x^2-1)."""
+    """E_n(x) from E_n(x)(x-1) = x^(n-2) P(x) - P*(x)."""
     if n < 10:
         raise ValueError("n must be >= 10")
-    rhs = monomial(n - 2) * poly(-1, -1, 0, 1) + poly(-1, 0, 1, 1)
+    rhs = monomial(n - 2) * PISOT - PISOT_STAR
     quot, rem = rhs.divmod(poly(-1, 1))
     if not rem.is_zero():
         raise FormulaConsistencyError(f"(x-1) does not divide the n={n} right-hand side")
@@ -143,9 +152,9 @@ class SalemFactorization:
     exclusion_prime: int          # the three gcds below are 1 modulo this prime
     note: str = ("no cyclotomic factor in salem_candidate: gcd(f, f1), "
                  "gcd(f(-x), f1) and gcd(f(x), f(-x)) are 1 mod exclusion_prime, "
-                 "where f1(x^2) = f(x)f(-x); irreducibility follows by Kronecker "
-                 "once exactly one root lies outside the closed unit disk, "
-                 "which this report does not certify")
+                 "where f1(x^2) = f(x)f(-x); E_n has exactly one root outside "
+                 "the closed unit disk (salem_pattern), so by Kronecker's "
+                 "theorem salem_candidate is irreducible")
 
     def cyclotomic_product(self) -> IntPoly:
         out = ONE
@@ -247,4 +256,88 @@ def salem_factor(e_n: IntPoly, n: int) -> SalemFactorization:
         salem_candidate=rem,
         residue_class=n % 360,
         exclusion_prime=p,
+    )
+
+
+# -- the Salem root pattern of E_n -------------------------------------------
+
+_SLOPE_QUADRATIC = poly(9, 22, 14)     # 14c^2 + 22c + 9
+
+
+def _slope_identity_lhs() -> IntPoly:
+    """Re(z P'(z) conj P(z)) + 2|P(z)|^2 on |z| = 1 as a polynomial in c:
+    the sum over k, l of (k + 2) p_k p_l cos((k - l)t), cos(mt) = T_m(c)."""
+    p = PISOT.coeffs
+    cheb = [ONE, monomial(1)]                  # Chebyshev T_0, T_1, ...
+    while len(cheb) < len(p):
+        cheb.append(monomial(1) * cheb[-1] * 2 - cheb[-2])
+    out = IntPoly()
+    for k, pk in enumerate(p):
+        for l, pl in enumerate(p):
+            out = out + cheb[abs(k - l)] * ((k + 2) * pk * pl)
+    return out
+
+
+@dataclass(frozen=True)
+class SalemPattern:
+    """Exact certificate of the root pattern of E_n, n >= 10.
+
+    With S(x) = (x - 1) E_n(x) = x^(n-2) P(x) - P*(x) and
+    P*(z) = z^3 conj P(z) on |z| = 1, z = e^(it) is a root of S exactly
+    when the phase h(t) = (n - 5)t + 2 arg P(z) lies in 2 pi Z, and
+    h' = n - 5 + 2 Re(z P'/P).  The slope identity holds as polynomials
+    in c (Chebyshev expansion, exact), and its quadratic has a negative
+    discriminant, so Re(z P'/P) >= -2 and h' >= n - 9 > 0.  P has two
+    roots inside the circle, so h rises by 2 pi (n - 1) over it: S has
+    n - 1 simple circle roots and E_n has n - 2.  E_n(1) = S'(1) = 9 - n
+    < 0, and E_n(rho)(rho - 1) = -P*(rho) > 0 (P* mod P has no positive
+    coefficient), put the remaining real root eta in (1, rho); 1/eta is
+    the last root.
+    """
+
+    n: int
+    e_n_at_1: int
+    discriminant: int
+    checks: tuple[tuple[str, bool], ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(ok for _, ok in self.checks)
+
+    def to_json(self) -> dict:
+        return {
+            "n": self.n,
+            "circle_roots": self.n - 2,
+            "eta_interval": ["1", "rho"],
+            "e_n_at_1": self.e_n_at_1,
+            "slope_identity": ("Re(z P'(z) conj P(z)) + 2|P(z)|^2 = "
+                               "2(1 - c)(14c^2 + 22c + 9), c = Re z, |z| = 1"),
+            "discriminant": self.discriminant,
+            "phase_slope_lower_bound": self.n - 9,
+            "checks": [[name, ok] for name, ok in self.checks],
+            "passed": self.passed,
+        }
+
+
+def salem_pattern(n: int) -> SalemPattern:
+    """Certify the Salem root pattern of E_n by exact algebra."""
+    if n < 10:
+        raise ValueError("n must be >= 10")
+    c0, c1, c2 = _SLOPE_QUADRATIC.coeffs
+    disc = c1 * c1 - 4 * c2 * c0
+    dp, dq = PISOT.derivative(), PISOT_STAR.derivative()
+    # E_n(1) = S'(1) because S(1) = P(1) - P*(1) = 0
+    e_n_at_1 = (n - 2) * sum(PISOT.coeffs) + sum(dp.coeffs) - sum(dq.coeffs)
+    star_rem = PISOT_STAR.divmod(PISOT)[1]
+    return SalemPattern(
+        n=n, e_n_at_1=e_n_at_1, discriminant=disc,
+        checks=(
+            ("slope_identity",
+             _slope_identity_lhs() == poly(2, -2) * _SLOPE_QUADRATIC),
+            ("discriminant_negative", disc < 0 < c2),
+            ("phase_slope_positive", n - 9 > 0),
+            ("e_n_at_1_negative", e_n_at_1 < 0),
+            ("e_n_at_rho_positive",
+             not star_rem.is_zero() and all(c <= 0 for c in star_rem.coeffs)),
+        ),
     )

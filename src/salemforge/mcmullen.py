@@ -6,23 +6,29 @@ point satisfy alpha*beta = delta and alpha + beta = s with
 s = +/- delta(1+delta)/(1+delta+delta^2).  Writing w = s * delta^(-1/2)
 gives the real quantity w = +/- 2cos(theta/2)/(1+2cos theta): the branch
 is Siegel exactly when |w| < 2 (both eigenvalues on the circle) and
-certified off-circle when |w| > 2.  Integrality of alpha and beta is
-certified by one exact norm, N(E_n(omega)) = Res(E_n, x^2+x+1) = 1.
+certified off-circle when |w| > 2.  The witness roots delta, delta' and
+the Salem number eta come from the Pisot phase of E_n (roots.py), in O(1)
+work per root at any degree; scan_siegel_roots, which certifies every
+circle root of a dense phi, is the oracle the tests compare against.
+Integrality of alpha and beta is certified by one exact norm,
+N(E_n(omega)) = Res(E_n, x^2+x+1) = 1, read from the sparse form of E_n.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
 import mpmath as mp
 
 from .polyring import IntPoly
-from .coxeter import SalemFactorization, en_from_formula, salem_factor
+from .coxeter import (PISOT, PISOT_STAR, FormulaConsistencyError,
+                      SalemFactorization, en_from_formula, salem_factor)
 from .roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
-                    arccos_ball, circle_root, circle_root_arguments,
-                    circle_root_brackets, cos_ball, log_ball,
+                    arccos_ball, circle_root_arguments, cos_ball, log_ball,
+                    phase_circle_root, phase_eta, phase_guess, pisot_phase,
                     salem_eta, sqrt_ball, unit_exp_ball)
 
 
@@ -171,9 +177,11 @@ def scan_siegel_roots(phi: IntPoly, precision_bits: int = 256
                       ) -> tuple[list[CircleRoot], list[CircleRoot]]:
     """Partition all circle roots of phi by branch classification.
 
-    Returns (siegel, nonsiegel) lists, closed under conjugation.  Raises
-    NoSiegelRoot when no certified Siegel branch exists (signals an
-    invalid n or insufficient precision).
+    The dense oracle that the tests compare witness_roots against: it
+    certifies every circle root of any Salem-shaped phi by
+    circle_root_arguments.  Returns (siegel, nonsiegel) lists, closed
+    under conjugation.  Raises NoSiegelRoot when no certified Siegel
+    branch exists (signals an invalid n or insufficient precision).
     """
     m = _check_salem_shape(phi)
     salem_eta(phi, 64)  # raises NotSalemError when the eta bracket is absent
@@ -190,31 +198,74 @@ def scan_siegel_roots(phi: IntPoly, precision_bits: int = 256
     return siegel, nonsiegel
 
 
-def find_witness_roots(phi: IntPoly, precision_bits: int
-                       ) -> tuple[CircleRoot, CircleRoot]:
-    """One certified Siegel root and one certified non-Siegel root of phi.
+# |w| = 2.02 at cos(t/2) = (1 + sqrt(1 + 4 W^2)) / (4 W), W = 2.02, t < 2 pi/3;
+# |w| increases on (0, 2 pi/3), so every root before this t has |w| < 2.02
+_NONSIEGEL_EDGE = 2.0 * math.acos((1.0 + math.sqrt(1.0 + 4 * 2.02 ** 2)) / (4 * 2.02))
 
-    The circle scan gives the m - 1 brackets; a float value of the branch
-    discriminant at each bracket picks the candidates, and only the first
-    candidate of each kind whose certified class agrees is certified.
-    Scales to the large Salem factors the MAU extension needs.
+
+def _cyclotomic_phases(fact: SalemFactorization) -> list[int]:
+    """The phase indices j (h = 2 pi j) of the circle roots of the
+    cyclotomic part of E_n in (0, pi), ascending.
+
+    Each root 2 pi a / d must lie on its own whole turn of the phase, and
+    the remaining indices 2..n/2 must number deg phi / 2 - 1, or
+    IsolationError: the split and the phase disagree.
     """
-    m = _check_salem_shape(phi)
-    brackets = circle_root_brackets(phi, expected=m - 1)
+    n = fact.n
+    out = []
+    with mp.workprec(64 + n.bit_length()):
+        for d, mult in fact.cyclotomic_part:
+            for a in range(1, (d + 1) // 2):
+                if math.gcd(a, d) != 1:
+                    continue
+                turns = pisot_phase(n, 2 * mp.pi * a / d)[0] / (2 * mp.pi)
+                j = int(mp.nint(turns))
+                if mult != 1 or abs(turns - j) > 0.25:
+                    raise IsolationError(f"Phi_{d}^{mult} does not match the "
+                                         f"phase of E_{n}")
+                out.append(j)
+    out.sort()
+    if len(set(out)) != len(out) or \
+            n // 2 - 1 - len(out) != fact.salem_candidate.degree // 2 - 1:
+        raise IsolationError(f"the circle roots of E_{n} do not split as "
+                             f"its cyclotomic part says")
+    return out
 
-    def witness(tag: str, preselect) -> CircleRoot:
-        for i, (lo, hi) in enumerate(brackets):
-            t = 0.5 * (lo + hi)
+
+def witness_roots(fact: SalemFactorization, precision_bits: int
+                  ) -> tuple[CircleRoot, CircleRoot]:
+    """One certified Siegel and one certified non-Siegel circle root of
+    the Salem factor phi of E_n, n = fact.n, with their scan indices.
+
+    Roots are visited by phase index j (phase_circle_root), skipping the
+    cyclotomic ones; a float |w| picks the candidates (< 1.98 Siegel,
+    > 2.02 non-Siegel) and the first whose certified class agrees is
+    returned.  The Siegel walk starts at j = 2; the non-Siegel walk at
+    the last root before |w| = 2.02.  Index = j - 1 - (cyclotomic roots
+    before it), the position among the roots of phi in (0, pi).
+    """
+    n = fact.n
+    cyc = _cyclotomic_phases(fact)
+    with mp.workprec(64 + n.bit_length()):
+        edge = int(pisot_phase(n, mp.mpf(_NONSIEGEL_EDGE))[0] / (2 * mp.pi))
+
+    def witness(tag: str, first: int, preselect) -> CircleRoot:
+        for j in range(max(first, 2), n // 2 + 1):
+            if j in cyc:
+                continue
+            t = float(phase_guess(n, j))
             den = 1.0 + 2.0 * math.cos(t)       # float |w| as in _w_interval
             w = abs(2.0 * math.cos(t / 2.0) / den) if den else math.inf
             if not preselect(w):
                 continue
-            theta = circle_root(phi, lo, hi, precision_bits)
+            theta = phase_circle_root(n, j, precision_bits)
             if _branch_class(_w_interval(theta, precision_bits)) == tag:
-                return CircleRoot.from_theta(theta, precision_bits, index=i + 1)
+                index = j - 1 - bisect_left(cyc, j)
+                return CircleRoot.from_theta(theta, precision_bits, index=index)
         raise NoSiegelRoot(f"no certified {tag} root found")
 
-    return witness("siegel", lambda w: w < 1.98), witness("nonsiegel", lambda w: w > 2.02)
+    return (witness("siegel", 2, lambda w: w < 1.98),
+            witness("nonsiegel", edge, lambda w: w > 2.02))
 
 
 # -- exact integrality certificate --------------------------------------
@@ -255,12 +306,22 @@ class IntegralityCertificate:
 def integrality_certificate(n: int) -> IntegralityCertificate:
     """Exact norm of E_n(omega), omega a primitive cube root of unity.
 
-    The coefficients of E_n are reduced by omega^3 = 1 and
-    omega^2 = -1 - omega; no floating point anywhere.
+    E_n(omega) = S(omega) / (omega - 1) from the sparse form
+    S(x) = (x - 1) E_n(x) = x^(n-2) P(x) - P*(x): exponents are reduced
+    mod 3, 1 / (omega - 1) = (omega^2 - 1) / 3, and omega^2 = -1 - omega;
+    the division by 3 must be exact.  No floating point, no dense E_n.
     """
-    c = en_from_formula(n).coeffs
-    c0, c1, c2 = sum(c[0::3]), sum(c[1::3]), sum(c[2::3])
-    a, b = c0 - c2, c1 - c2
+    if n < 10:
+        raise ValueError("n must be >= 10")
+    p, q = ([sum(f.coeffs[r::3]) for r in range(3)] for f in (PISOT, PISOT_STAR))
+    k = (n - 2) % 3
+    s = [p[(r - k) % 3] - q[r] for r in range(3)]          # S(omega)
+    m = (-1, 0, 1)                                           # omega^2 - 1
+    t = [sum(s[i] * m[(r - i) % 3] for i in range(3)) for r in range(3)]
+    a3, b3 = t[0] - t[2], t[1] - t[2]                        # 3 E_n(omega)
+    if a3 % 3 or b3 % 3:
+        raise FormulaConsistencyError(f"omega - 1 does not divide S(omega) at n={n}")
+    a, b = a3 // 3, b3 // 3
     norm = a * a - a * b + b * b
     return IntegralityCertificate(
         n=n, a=a, b=b, norm=norm,
@@ -328,8 +389,8 @@ def mcmullen_data(n: int, precision_bits: int = 256,
                   branch_sign: int = +1) -> McMullenPairData:
     """Full eigenvalue data of the pair for n = 1 mod 6 at a Siegel root.
 
-    Up to degree 40 every circle root is certified and classified; above
-    it only the two witnesses are.
+    The two witnesses (witness_roots) and eta (phase_eta) come from the
+    Pisot phase of E_n, at every degree; phi is not evaluated.
     """
     if n % 6 != 1:
         raise ValueError(f"n must be 1 mod 6, got {n}")
@@ -343,13 +404,7 @@ def _pair_data(fact: SalemFactorization, precision_bits: int,
                branch_sign: int = +1) -> McMullenPairData:
     """mcmullen_data from a factorization of E_n the caller already holds."""
     n, phi = fact.n, fact.salem_candidate
-    if phi.degree <= 40:
-        siegel, nonsiegel = scan_siegel_roots(phi, precision_bits)
-        if not nonsiegel:
-            raise NoSiegelRoot("no non-Siegel witness root")
-        delta, delta_prime = siegel[0], nonsiegel[0]
-    else:
-        delta, delta_prime = find_witness_roots(phi, precision_bits)
+    delta, delta_prime = witness_roots(fact, precision_bits)
 
     branches = eigenvalue_branches(phi, delta, precision_bits)
     br = next(b for b in branches if b.branch_sign == branch_sign)
@@ -361,8 +416,7 @@ def _pair_data(fact: SalemFactorization, precision_bits: int,
     cert = integrality_certificate(n)
     if not cert.passed:
         raise IntegralityFailure(f"integrality certificate failed for n={n}")
-    eta = salem_eta(phi, precision_bits)
-    entropy = log_ball(eta, precision_bits)
+    entropy = log_ball(phase_eta(n, precision_bits), precision_bits)
 
     # argument bookkeeping: alpha = e^(i(theta/2 + psi)), beta = e^(i(theta/2 - psi))
     w = _w_interval(delta.theta, precision_bits)

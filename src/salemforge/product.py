@@ -23,7 +23,7 @@ from .polyring import IntPoly
 from .mau import (MAUSequence, RelationReport, relation_search,
                   PrecisionTooLow)
 from .mcmullen import IntegralityFailure, integrality_certificate
-from .roots import GUARD_BITS, RealBall, log_ball, salem_eta
+from .roots import RealBall, log_ball, phase_eta
 from .toric import (Fan, TorusElement, ToricFixedPoint, check_fan,
                     fixed_points as toric_fixed_points, load_fan)
 
@@ -248,7 +248,11 @@ def siegel_count(spec: ProductSpec, bound: int = 32,
 
 def product_entropy(spec: ProductSpec,
                     precision_bits: int | None = None) -> RealBall:
-    """Sum of log(eta) over surface factors; toric factors contribute 0."""
+    """Sum of log(eta) over surface factors; toric factors contribute 0.
+
+    Each eta is the Salem number of E_n from the Pisot phase (phase_eta),
+    so no factor's phi is evaluated.
+    """
     if precision_bits is None:
         precision_bits = spec.precision_bits
     mcm = [f for f in spec.factors if isinstance(f, McMullenFactor)]
@@ -258,6 +262,5 @@ def product_entropy(spec: ProductSpec,
         return RealBall(mp.mpf(0), mp.mpf(0))
     total = RealBall(mp.mpf(0), mp.mpf(0))
     for f in mcm:
-        eta = salem_eta(f.phi, precision_bits)
-        total = total + log_ball(eta, precision_bits)
+        total = total + log_ball(phase_eta(f.n, precision_bits), precision_bits)
     return total

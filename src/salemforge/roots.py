@@ -2,13 +2,24 @@
 
 Midpoint/radius ball arithmetic on top of mpmath and one certified-root
 primitive, sign_change_root: Newton from a float bracket, then a sign
-change of the function at t -/+ eps checked on balls from eval_ball.
-It gives the circle-root arguments theta and the Salem number eta that
-the pipeline uses.
+change of the function at t -/+ eps checked on balls.
 
-isolate_roots, classify_salem and entropy_from_charpoly are the
-independent Aberth oracle that the acceptance tests compare against:
-an Aberth-Ehrlich simultaneous solver whose disks have the classical
+The production roots of McMullen's E_n come from the Pisot phase, in
+O(1) work per root at any n: E_n(x)(x - 1) = x^(n-2) P(x) - P*(x) with
+P(x) = x^3 - x - 1, whose real root rho is the smallest Pisot number.
+phase_circle_root gives the j-th circle-root argument theta_j, certified
+by three sines at exact points; phase_eta gives the Salem number eta in
+(1, rho); salem_pattern certifies, once for every n >= 10, the root
+pattern behind them (n - 2 simple circle roots and one real root in
+(1, rho)).  No dense polynomial is evaluated on these paths.
+
+Two independent oracles stay for the tests and are kept off the
+production paths.  The dense oracle works on any monic reciprocal
+polynomial: circle_root_brackets (a float scan of
+G(t) = Re(e^(-imt) p(e^(it)))), circle_root, circle_root_arguments and
+salem_eta, all certified through sign_change_root.  The Aberth oracle
+is isolate_roots, classify_salem and entropy_from_charpoly: an
+Aberth-Ehrlich simultaneous solver whose disks have the classical
 radius deg * |p(z)/p'(z)|.  Reciprocal polynomials get their on-circle
 tags from the algebraic z <-> 1/z pairing, never from numeric proximity
 alone; a root neither pinned by the pairing nor separated from the
@@ -22,6 +33,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
+from .coxeter import PISOT, PISOT_STAR
 from .polyring import IntPoly, poly_gcd, _scaled_div
 
 GUARD_BITS = 80
@@ -570,12 +582,13 @@ def entropy_from_charpoly(p: IntPoly, precision_bits: int = 256) -> RealBall:
 
 # -- certified real roots by a sign change --------------------------------
 #
-# Every production root (the circle-root arguments theta and the Salem
-# number eta) comes from sign_change_root: Newton from a float bracket at
-# precision_bits + GUARD_BITS, then the intermediate value theorem.  The
-# signs at t - eps and t + eps, eps = 2^-(precision_bits + GUARD_BITS/2),
-# are read off balls from eval_ball, which bounds the rounding error of
-# the evaluation, so the returned ball (t, eps) contains a root.
+# Every root (the circle-root arguments theta and the Salem number eta,
+# in production and in the dense oracle) comes from sign_change_root:
+# Newton from a float bracket at precision_bits + GUARD_BITS, then the
+# intermediate value theorem.  The signs at t - eps and t + eps,
+# eps = 2^-(precision_bits + GUARD_BITS/2), are read off balls that bound
+# the rounding error of the evaluation, so the returned ball (t, eps)
+# contains a root.
 
 
 def sign_change_root(newton_step, value_ball, lo: float, hi: float,
@@ -614,11 +627,156 @@ def sign_change_root(newton_step, value_ball, lo: float, hi: float,
         return RealBall(mp.ldexp(k, -e), tol)
 
 
-# -- unit-circle roots (reciprocal polynomials of any degree) ------------
+# -- circle roots and eta of E_n from the Pisot phase ----------------------
+#
+# S(x) = (x - 1) E_n(x) = x^(n-2) P(x) - P*(x).  On |z| = 1,
+# P*(z) = z^3 conj P(z), so with a = (n + 1)/2 and z = e^(it)
+#   e^(-iat) S(z) = 2i F(t),  F(t) = sin(at) - sin((a-2)t) - sin((a-3)t)
+#                                  = |P(z)| sin(h(t) / 2),
+# where h(t) = (n - 5)t + 2 arg P(z) is the phase, with arg continuous and
+# h(0) = 2 pi.  coxeter.salem_pattern certifies h' >= n - 9 > 0, so the
+# j-th circle root of S is the one t with h(t) = 2 pi j: j = 1 is t = 0,
+# the root of x - 1, and 2 <= j <= n/2 are the roots in (0, pi).
+#
+# For arg P, P(z) = (z - rho)(z^2 + rho z + 1/rho) gives
+#   arg P(z) = pi + atan2(-sin t, rho - cos t) + 2t + Arg q,
+#   q = 1 + rho/z + 1/(rho z^2).
+# rho - cos t > 0, and Im q = -sin t (rho + 2 cos t / rho) vanishes on
+# [0, pi] only at t = 0, t = pi and cos t = -rho^2/2, where Re q is
+# 1 + rho + 1/rho, 1 - rho + 1/rho and 1 - 1/rho, all positive: q never
+# crosses the negative real axis, so both principal arguments are
+# continuous on [0, pi].  (A principal arg of P itself would jump there.)
+
+
+def _plastic() -> mp.mpf:
+    """rho, the real root of x^3 - x - 1, at the working precision."""
+    r = mp.sqrt(69) / 18
+    return mp.cbrt(mp.mpf(1) / 2 + r) + mp.cbrt(mp.mpf(1) / 2 - r)
+
+
+def pisot_phase(n: int, t) -> tuple[mp.mpf, mp.mpf]:
+    """The phase h(t) of E_n and its derivative h'(t), 0 <= t <= pi, at
+    the working precision."""
+    rho = _plastic()
+    c, s = mp.cos_sin(t)
+    q = mp.mpc(1 + rho * c + (2 * c * c - 1) / rho, -s * (rho + 2 * c / rho))
+    h = (n - 1) * t + 2 * mp.pi + 2 * mp.atan2(-s, rho - c) + 2 * mp.arg(q)
+    z = mp.mpc(c, s)
+    dh = n - 5 + 2 * (z * (3 * z * z - 1) / (z ** 3 - z - 1)).real
+    return h, dh
+
+
+def phase_guess(n: int, j: int) -> mp.mpf:
+    """theta_j, the t in (0, pi) with h(t) = 2 pi j, to about 2^-60.
+
+    Newton on h, kept inside a bisection bracket, at 64 + log2(n) bits:
+    (n - 1)t magnifies the rounding of t by n.
+    """
+    if n < 10 or not 2 <= j <= n // 2:
+        raise ValueError(f"no circle root of E_{n} in (0, pi) with phase index {j}")
+    with mp.workprec(64 + n.bit_length()):
+        target = 2 * mp.pi * j
+        lo, hi = mp.mpf(0), +mp.pi
+        t, tol = (target - 2 * mp.pi) / (n - 1), mp.ldexp(1, -60)
+        for _ in range(200):
+            h, dh = pisot_phase(n, t)
+            if h < target:
+                lo = t
+            else:
+                hi = t
+            nxt = t - (h - target) / dh
+            if abs(nxt - t) < tol:
+                return nxt
+            t = nxt if lo < nxt < hi else (lo + hi) / 2
+        raise IsolationError(f"phase Newton did not converge at n={n}, j={j}")
+
+
+def phase_circle_root(n: int, j: int, precision_bits: int) -> RealBall:
+    """theta_j in (0, pi), the j-th circle root of (x - 1) E_n, 2 <= j <= n/2.
+
+    Newton on F from phase_guess, certified by a sign change of F: its
+    three sines are taken at the exact points k x / 2.
+    """
+    t = phase_guess(n, j)
+    ks = ((n + 1, 1), (n - 3, -1), (n - 5, -1))      # 2a, 2(a - 2), 2(a - 3)
+
+    def newton_step(x):
+        f = d = 0
+        for k, sign in ks:
+            c, s = mp.cos_sin(mp.ldexp(mp.fmul(k, x, exact=True), -1))
+            f += sign * s
+            d += sign * k * c
+        return 2 * f / d
+
+    def value_ball(x):
+        f = RealBall(mp.mpf(0), mp.mpf(0))
+        for k, sign in ks:
+            u = RealBall(mp.ldexp(mp.fmul(k, x, exact=True), -1), mp.mpf(0))
+            f = f + sign * sin_ball(u, precision_bits)
+        return f
+
+    with mp.workprec(64 + n.bit_length()):
+        half = mp.pi / (2 * n + 32)        # roots are about 2 pi / n apart
+        lo, hi = t - half, t + half
+    theta = sign_change_root(newton_step, value_ball, lo, hi, precision_bits)
+    with mp.workprec(64 + n.bit_length()):
+        # the certified root is theta_j: its phase is 2 pi j, to far better
+        # than the quarter turn allowed here
+        if abs(pisot_phase(n, theta.mid)[0] / (2 * mp.pi) - j) > 0.25:
+            raise IsolationError(f"Newton left circle root {j} of E_{n}")
+    return theta
+
+
+def phase_eta(n: int, precision_bits: int) -> RealBall:
+    """eta, the real root of E_n in (1, rho), certified by a sign change.
+
+    Newton runs on g(x) = P(x) - P*(x) x^(2-n), which has the sign of
+    S(x) and no x^n growth; g is enclosed by eval_ball of P and P* and by
+    x^(2-n) rounded down and up.
+    """
+    if n < 10:
+        raise ValueError("n must be >= 10")
+
+    def g(x: float) -> float:
+        return x ** 3 - x - 1 - (1 - x * x - x ** 3) * x ** (2 - n)
+
+    lo, hi = 1.0 + 2.0 ** -16, 1.33          # g(lo) ~ (9 - n) 2^-16 < 0 < g(hi)
+    while hi - lo > 2.0 ** -20:
+        mid = (lo + hi) / 2
+        if g(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    dp, dq = PISOT.derivative(), PISOT_STAR.derivative()
+
+    def newton_step(x):
+        xp = x ** (2 - n)
+        q = _horner(PISOT_STAR.coeffs, x)
+        num = _horner(PISOT.coeffs, x) - q * xp
+        den = (_horner(dp.coeffs, x) - _horner(dq.coeffs, x) * xp
+               + (n - 2) * q * xp / x)
+        return num / den
+
+    def value_ball(x):
+        z = ComplexBall(mp.mpc(x), mp.mpf(0), precision_bits)
+        p, q = eval_ball(PISOT, z), eval_ball(PISOT_STAR, z)
+        wp = precision_bits + GUARD_BITS
+        down = mp.mpf(mp.libmp.mpf_pow_int(x._mpf_, 2 - n, wp, mp.libmp.round_floor))
+        up = mp.mpf(mp.libmp.mpf_pow_int(x._mpf_, 2 - n, wp, mp.libmp.round_ceiling))
+        with mp.workprec(wp):
+            xp = RealBall(down, up - down)   # exact: up / 2 <= down <= up
+        return (RealBall(p.mid.real, p.radius)
+                - RealBall(q.mid.real, q.radius) * xp)
+
+    return sign_change_root(newton_step, value_ball, lo, hi, precision_bits)
+
+
+# -- the dense oracle: circle roots and eta of any reciprocal polynomial ----
 #
 # For monic reciprocal p of degree 2m, G(t) := Re(e^(-imt) p(e^(it))) is a
 # real trigonometric polynomial whose zeros in (0, pi) are exactly the
-# arguments of the upper-half-plane circle roots.
+# arguments of the upper-half-plane circle roots.  These functions
+# evaluate p densely; the tests compare the phase roots against them.
 
 
 def circle_root_brackets(p: IntPoly, expected: int | None = None
@@ -655,13 +813,18 @@ def circle_root(p: IntPoly, lo: float, hi: float,
     """The argument in the bracket [lo, hi] of a circle root of p,
     certified by a sign change of G."""
     m = p.degree // 2
-    dp = p.derivative()
+    c = p.coeffs[m:]                   # c_(m+j) = c_(m-j): p is reciprocal
 
     def newton_step(t):
-        z, u = mp.expj(t), mp.expj(-m * t)
-        pv = _horner(p.coeffs, z)
-        # G'(t) = Re(i e^(-imt) (z p'(z) - m p(z)))
-        return (u * pv).real / -(u * (z * _horner(dp.coeffs, z) - m * pv)).imag
+        # G = c_m + 2 sum c_(m+j) cos(jt), G' = -2 sum j c_(m+j) sin(jt),
+        # both by Clenshaw's recurrence in real arithmetic
+        cos_t, sin_t = mp.cos_sin(t)
+        two_cos = 2 * cos_t
+        u1 = u2 = v1 = v2 = 0
+        for j in range(m, 0, -1):
+            u1, u2 = c[j] + two_cos * u1 - u2, u1
+            v1, v2 = j * c[j] + two_cos * v1 - v2, v1
+        return (c[0] + 2 * (cos_t * u1 - u2)) / (-2 * sin_t * v1)
 
     def value_ball(x):
         z = unit_exp_ball(RealBall(x, mp.mpf(0)), precision_bits)
@@ -734,6 +897,12 @@ def cos_ball(theta: RealBall, precision_bits: int) -> RealBall:
     """cos over an interval; |cos'| <= 1 bounds the radius."""
     with mp.workprec(precision_bits + GUARD_BITS):
         return RealBall(mp.cos(theta.mid), theta.rad + _ulp(mp.mp.prec))
+
+
+def sin_ball(theta: RealBall, precision_bits: int) -> RealBall:
+    """sin over an interval; |sin'| <= 1 bounds the radius."""
+    with mp.workprec(precision_bits + GUARD_BITS):
+        return RealBall(mp.sin(theta.mid), theta.rad + _ulp(mp.mp.prec))
 
 
 def arccos_ball(x: RealBall, precision_bits: int) -> RealBall:

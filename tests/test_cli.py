@@ -38,6 +38,10 @@ def test_coxeter_factor_19():
     assert report["cyclotomic_part"] == [[2, 1], [5, 1]]
     assert [int(c) for c in report["salem_candidate"]] == PHI_14
     assert report["exclusion_prime"] == 33_554_393
+    assert report["irreducible"] is True
+    assert report["salem_pattern"]["passed"] is True
+    assert report["salem_pattern"]["circle_roots"] == 17
+    assert "does not certify" not in report["note"]
     _assert_no_bare_floats(report)
 
 

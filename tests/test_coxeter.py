@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from salemforge.polyring import IntPoly, cyclotomic, euler_phi, poly
-from salemforge.coxeter import (EXCLUSION_PRIME, CoxeterSystem,
+from salemforge.coxeter import (EXCLUSION_PRIME, PISOT, CoxeterSystem,
                                 FormulaConsistencyError, StructureError,
                                 _graeffe_mod_p, charpoly, en_from_formula,
-                                en_from_matrix, gram_matrix, salem_factor)
+                                en_from_matrix, gram_matrix, salem_factor,
+                                salem_pattern)
 
 # x^14 - x^13 - x^11 + x^10 - x^7 + x^4 - x^3 - x + 1, ascending
 PHI_14 = IntPoly([1, -1, 0, -1, 1, 0, 0, -1, 0, 0, 1, -1, 0, -1, 1])
@@ -102,3 +103,32 @@ def test_salem_candidate_shape_guard():
     # a wrong n would leave a non-reciprocal remainder; simulate directly
     with pytest.raises((StructureError, FormulaConsistencyError, ValueError)):
         salem_factor(poly(1, 2, 1, 1), 19)
+
+
+def test_slope_identity_holds_exactly_over_q():
+    """Re(z P'(z) conj P(z)) + 2|P(z)|^2 = 2(1 - c)(14c^2 + 22c + 9) on
+    |z| = 1, z = c + i s, reduced by s^2 = 1 - c^2 in sympy; the
+    certificate reaches the same verdict by Chebyshev polynomials."""
+    sympy = pytest.importorskip("sympy")
+    c, s = sympy.symbols("c s", real=True)
+    z, zbar = c + sympy.I * s, c - sympy.I * s
+    p = sum(k * z ** i for i, k in enumerate(PISOT.coeffs))
+    pbar = sum(k * zbar ** i for i, k in enumerate(PISOT.coeffs))
+    zdp = z * sympy.diff(p, c)                   # dP/dz, since dz/dc = 1
+    zdp_bar = zbar * sympy.diff(pbar, c)
+    lhs = sympy.expand((zdp * pbar + zdp_bar * p) / 2 + 2 * p * pbar)
+    lhs = sympy.rem(sympy.Poly(lhs, s), sympy.Poly(s ** 2 + c ** 2 - 1, s))
+    rhs = 2 * (1 - c) * (14 * c ** 2 + 22 * c + 9)
+    assert sympy.expand(lhs.as_expr() - rhs) == 0
+    assert sympy.discriminant(14 * c ** 2 + 22 * c + 9, c) == -20
+    pattern = salem_pattern(19)
+    assert pattern.passed and pattern.discriminant == -20
+    assert dict(pattern.checks)["slope_identity"]
+
+
+@pytest.mark.parametrize("n", [10, 19, 20, 739])
+def test_salem_pattern_reads_e_n_at_1_from_the_sparse_form(n):
+    pattern = salem_pattern(n)
+    assert pattern.e_n_at_1 == sum(en_from_formula(n).coeffs) == 9 - n
+    assert pattern.passed
+    assert pattern.to_json()["circle_roots"] == n - 2

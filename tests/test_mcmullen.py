@@ -1,15 +1,21 @@
 """Eigenvalue pairs at Siegel points and exact integrality certificates."""
 
+from bisect import bisect_left
+from dataclasses import replace
+from types import SimpleNamespace
+
 import mpmath as mp
 import pytest
 
 from salemforge.mcmullen import (CircleRoot, NoSiegelRoot, PoleError,
-                                 eigenvalue_branches, find_witness_roots,
-                                 integrality_certificate, mcmullen_data,
-                                 scan_siegel_roots, _w_interval)
-from salemforge.polyring import poly
+                                 eigenvalue_branches, integrality_certificate,
+                                 mcmullen_data, scan_siegel_roots,
+                                 witness_roots, _branch_class,
+                                 _cyclotomic_phases, _w_interval)
 from salemforge.roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
-                              eval_ball, isolate_roots, salem_eta,
+                              circle_root, circle_root_arguments,
+                              circle_root_brackets, eval_ball, isolate_roots,
+                              phase_circle_root, phase_eta, salem_eta,
                               unit_exp_ball)
 from salemforge.coxeter import en_from_formula, salem_factor
 
@@ -82,8 +88,8 @@ def test_nonsiegel_ratio_separated_from_one(phi14):
     assert br.ratio_abs.lo > 1 or br.ratio_abs.hi < 1
 
 
-def test_find_witness_roots_agrees_with_scan(phi14):
-    s, ns = find_witness_roots(phi14, 256)
+def test_witness_roots_agrees_with_scan(phi14):
+    s, ns = witness_roots(salem_factor(en_from_formula(19), 19), 256)
     assert eigenvalue_branches(phi14, s, 256)[0].classification == "siegel"
     assert eigenvalue_branches(phi14, ns, 256)[0].classification == "nonsiegel"
     # the witnesses keep their scan positions
@@ -92,10 +98,68 @@ def test_find_witness_roots_agrees_with_scan(phi14):
     assert s.theta == siegel[0].theta and ns.theta == nonsiegel[0].theta
 
 
-def test_find_witness_roots_demands_m_minus_1_brackets():
-    # Phi_5 has both of its upper circle roots in (0, pi): 2 != m - 1 = 1
+def test_witness_roots_demand_a_consistent_split():
+    fact19 = salem_factor(en_from_formula(19), 19)
+    # Phi_5 left out: its two roots in (0, pi) would be counted as phi's,
+    # 8 != m - 1 = 6
     with pytest.raises(IsolationError):
-        find_witness_roots(poly(1, 1, 1, 1, 1), 128)
+        witness_roots(replace(fact19, cyclotomic_part=((2, 1),)), 128)
+    # Phi_5 claimed for E_25, where its roots are no phase roots
+    fact25 = salem_factor(en_from_formula(25), 25)
+    with pytest.raises(IsolationError):
+        witness_roots(replace(fact25, cyclotomic_part=fact19.cyclotomic_part), 128)
+
+
+@pytest.mark.parametrize("n", range(13, 134, 6))
+def test_phase_roots_equal_the_dense_scan(n):
+    """Every circle root of phi from the phase is the dense oracle's ball,
+    mid and radius, at the position its index names."""
+    fact = salem_factor(en_from_formula(n), n)
+    phi = fact.salem_candidate
+    dense = circle_root_arguments(phi, 128, expected=phi.degree // 2 - 1)
+    cyc = _cyclotomic_phases(fact)
+    phase = {j - 1 - bisect_left(cyc, j): phase_circle_root(n, j, 128)
+             for j in range(2, n // 2 + 1) if j not in cyc}
+    assert phase == dict(enumerate(dense, start=1))
+
+
+def test_witnesses_and_eta_equal_the_dense_ones_at_739():
+    prec = 512
+    fact = salem_factor(en_from_formula(739), 739)
+    phi = fact.salem_candidate
+    brackets = circle_root_brackets(phi, expected=phi.degree // 2 - 1)
+    for root in witness_roots(fact, prec):
+        assert root.theta == circle_root(phi, *brackets[root.index - 1], prec)
+    assert phase_eta(739, prec) == salem_eta(phi, prec)
+
+
+@pytest.mark.parametrize("n, indices", [(739, (1, 205)), (3259, (1, 909))])
+def test_witness_indices_follow_the_continuous_arg(n, indices):
+    # a principal arg of P jumps inside (0, pi) and shifts the index
+    s, ns = witness_roots(salem_factor(en_from_formula(n), n), 128)
+    assert (s.index, ns.index) == indices
+
+
+def _f_value(n, x, prec):
+    """F(x) = sin(ax) - sin((a-2)x) - sin((a-3)x), a = (n+1)/2, plain mpmath."""
+    with mp.workprec(2 * prec):
+        a = mp.mpf(n + 1) / 2
+        return mp.sin(a * x) - mp.sin((a - 2) * x) - mp.sin((a - 3) * x)
+
+
+def test_witnesses_certify_at_19107739():
+    """E_19107739 (n = 19 mod 360, the split of E_19) is never densified:
+    the witnesses come from the phase alone."""
+    n, prec = 19_107_739, 512
+    fact = SimpleNamespace(n=n, cyclotomic_part=((2, 1), (5, 1)),
+                           salem_candidate=SimpleNamespace(degree=n - 5))
+    s, ns = witness_roots(fact, prec)
+    assert s.index == 1
+    for root, tag in ((s, "siegel"), (ns, "nonsiegel")):
+        assert _branch_class(_w_interval(root.theta, prec)) == tag
+        assert 0 < root.theta.lo and root.theta.hi < mp.pi
+        lo, hi = _f_value(n, root.theta.lo, prec), _f_value(n, root.theta.hi, prec)
+        assert lo * hi < 0
 
 
 def _sign_certified_opposite(f_lo: RealBall, f_hi: RealBall) -> bool:
@@ -130,9 +194,9 @@ def test_witness_and_eta_balls_hold_a_sign_change():
             v = eval_ball(phi, ComplexBall(mp.mpc(t), r, prec))
         return RealBall(v.mid.real, v.radius)
 
-    for root in find_witness_roots(phi, prec):
+    for root in witness_roots(salem_factor(en_from_formula(739), 739), prec):
         assert _sign_certified_opposite(g_ball(root.theta.lo), g_ball(root.theta.hi))
-    eta = salem_eta(phi, prec)
+    eta = phase_eta(739, prec)
     assert _sign_certified_opposite(phi_ball(eta.lo), phi_ball(eta.hi))
 
 
@@ -158,6 +222,16 @@ def test_reduction_matches_evaluation_at_omega(n, a, b):
     cert = integrality_certificate(n)
     assert (cert.a, cert.b) == (a, b)
     assert _distance_at_omega(n, a, b) < mp.mpf(2) ** -150
+
+
+def test_sparse_certificate_matches_the_dense_reduction():
+    """E_n(omega) from S(omega) / (omega - 1) equals the reduction of the
+    dense coefficients of E_n, for every n from 10 to 400."""
+    for n in range(10, 401):
+        c = en_from_formula(n).coeffs
+        c0, c1, c2 = sum(c[0::3]), sum(c[1::3]), sum(c[2::3])
+        cert = integrality_certificate(n)
+        assert (cert.a, cert.b) == (c0 - c2, c1 - c2)
 
 
 def test_integrality_certificate_fails_for_n20():

@@ -7,8 +7,9 @@ from salemforge.polyring import IntPoly, poly, monomial, ONE
 from salemforge.roots import (ComplexBall, NotSalemError, RealBall,
                               _classify_tags, circle_root_arguments,
                               classify_salem, entropy_from_charpoly, eval_ball,
-                              isolate_roots, log_ball, salem_eta,
-                              unit_circle_distance, yun_squarefree)
+                              isolate_roots, log_ball, phase_circle_root,
+                              phase_eta, phase_guess, pisot_phase, salem_eta,
+                              sin_ball, unit_circle_distance, yun_squarefree)
 from salemforge.coxeter import en_from_formula, salem_factor
 
 PHI_14 = IntPoly([1, -1, 0, -1, 1, 0, 0, -1, 0, 0, 1, -1, 0, -1, 1])
@@ -154,3 +155,47 @@ def test_precision_monotonicity(phi14):
     t1 = isolate_roots(phi14, 128).classification
     t2 = isolate_roots(phi14, 256).classification
     assert sorted(t1) == sorted(t2)
+
+
+@pytest.mark.parametrize("mid, rad", [("0.7", "1e-30"), ("3.1", "0"),
+                                      ("-2.5", "1e-60"),
+                                      ("12345678901234.56789", "1e-50")])
+def test_sin_ball_encloses(mid, rad):
+    with mp.workprec(300):
+        theta = RealBall(mp.mpf(mid), mp.mpf(rad))
+    ball = sin_ball(theta, 128)
+    with mp.workprec(600):
+        for x in (theta.lo, theta.mid, theta.hi):
+            assert ball.lo <= mp.sin(x) <= ball.hi
+    assert ball.rad < mp.mpf(rad) + mp.mpf(2) ** -150
+
+
+def test_phase_is_continuous_and_increasing():
+    """h(0) = 2 pi, h(pi) = (n + 1) pi, h' >= n - 9 on a fine grid: the
+    arg of P does not jump in (0, pi)."""
+    n = 13
+    with mp.workprec(80):
+        assert abs(pisot_phase(n, 0)[0] - 2 * mp.pi) < mp.mpf(2) ** -70
+        assert abs(pisot_phase(n, mp.pi)[0] - (n + 1) * mp.pi) < mp.mpf(2) ** -70
+        grid = [mp.pi * i / 400 for i in range(401)]
+        values = [pisot_phase(n, t) for t in grid]
+    assert all(dh >= n - 9 - mp.mpf(2) ** -60 for _, dh in values)
+    step = mp.pi / 400 * (n + 13)
+    assert all(0 < b[0] - a[0] < step for a, b in zip(values, values[1:]))
+
+
+def test_no_root_at_theta_zero_or_past_pi():
+    # j = 1 is theta = 0, the root of x - 1; j = (n + 1)/2 is theta = pi
+    for j in (0, 1, 10):
+        with pytest.raises(ValueError):
+            phase_circle_root(19, j, 128)
+    first = phase_circle_root(19, 2, 128)
+    assert first.lo > 0.3
+    with mp.workprec(100):
+        assert abs(pisot_phase(19, phase_guess(19, 2))[0] - 4 * mp.pi) < 2 ** -50
+
+
+def test_phase_eta_matches_isolation():
+    eta = phase_eta(19, 256)
+    assert abs(eta.mid - ETA_PHI14) < mp.mpf(2) ** -60
+    assert eta.rad < mp.mpf(2) ** -200
