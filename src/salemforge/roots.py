@@ -9,9 +9,9 @@ O(1) work per root at any n: E_n(x)(x - 1) = x^(n-2) P(x) - P*(x) with
 P(x) = x^3 - x - 1, whose real root rho is the smallest Pisot number.
 phase_circle_root gives the j-th circle-root argument theta_j, certified
 by three sines at exact points; phase_eta gives the Salem number eta in
-(1, rho); salem_pattern certifies, once for every n >= 10, the root
-pattern behind them (n - 2 simple circle roots and one real root in
-(1, rho)).  No dense polynomial is evaluated on these paths.
+(1, rho); coxeter.salem_pattern certifies, by exact algebra for every
+n >= 10, the root pattern behind them (n - 2 simple circle roots and one
+real root in (1, rho)).  No dense polynomial is evaluated on these paths.
 
 Two independent oracles stay for the tests and are kept off the
 production paths.  The dense oracle works on any monic reciprocal

@@ -18,6 +18,8 @@ from salemforge.roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
                               phase_circle_root, phase_eta, salem_eta,
                               unit_exp_ball)
 from salemforge.coxeter import en_from_formula, salem_factor
+from salemforge.product import McMullenFactor, product_entropy
+from salemforge import roots
 
 TOL = mp.mpf(2) ** -100
 
@@ -138,6 +140,28 @@ def test_witness_indices_follow_the_continuous_arg(n, indices):
     # a principal arg of P jumps inside (0, pi) and shifts the index
     s, ns = witness_roots(salem_factor(en_from_formula(n), n), 128)
     assert (s.index, ns.index) == indices
+
+
+def test_production_paths_evaluate_no_dense_phi(monkeypatch):
+    """mcmullen_data (below and above degree 40) and product_entropy
+    evaluate only P, P* and their derivatives, never phi."""
+    horner = roots._horner
+
+    def small_only(coeffs, z):
+        assert len(coeffs) <= 4, f"degree-{len(coeffs) - 1} evaluation"
+        return horner(coeffs, z)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense circle scan ran")
+
+    monkeypatch.setattr(roots, "_horner", small_only)
+    monkeypatch.setattr(roots, "circle_root_brackets", refuse)
+    for n in (31, 739):
+        assert mcmullen_data(n, 128).siegel_root
+    spec = SimpleNamespace(precision_bits=128, factors=[
+        McMullenFactor(n=19, phi=None, alpha_arg=None, beta_arg=None,
+                       entry_indices=(0, 1))])
+    assert product_entropy(spec).mid > 0
 
 
 def _f_value(n, x, prec):
