@@ -101,7 +101,7 @@ def coxeter_poly(n, out):
 @click.option("--n", type=int, required=True)
 @_out_opt
 def coxeter_factor(n, out):
-    fact = salem_factor(en_from_formula(n), n)
+    fact = salem_factor(n)
     pattern = salem_pattern(n)
     report = fact.to_json()
     report["salem_pattern"] = pattern.to_json()

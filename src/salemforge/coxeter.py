@@ -3,22 +3,22 @@
 E_n(x) is produced two independent ways: a sparse closed formula divided
 exactly by (x - 1), and the characteristic polynomial of the product of
 the n simple reflections.  The factorization splits E_n exactly into its
-cyclotomic part (the Phi_d with d | 360 that divide it) and the Salem
-candidate, and certifies by three gcds modulo one prime that the
-candidate has no cyclotomic factor left.  salem_pattern certifies by
-exact algebra, for every n >= 10, that E_n has n - 2 simple roots on the
-unit circle and one real root in (1, rho); with no cyclotomic factor
-left, Kronecker's theorem then makes the Salem candidate irreducible.
+cyclotomic part and the Salem candidate from n alone.  By Mann's theorem
+on vanishing sums of roots of unity, every Phi_d dividing E_n has
+d | 1800; each such d is tested exactly on the six-term sparse form of
+(x - 1) E_n, with no dense E_n.  salem_pattern certifies by exact
+algebra, for every n >= 10, that E_n has n - 2 simple roots on the unit
+circle and one real root in (1, rho); so each Phi_d divides at most
+once, and with no cyclotomic factor left, Kronecker's theorem makes the
+Salem candidate irreducible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .polyring import (IntPoly, ONE, cyclotomic, divisors, euler_phi,
-                       monomial, poly)
+from .polyring import IntPoly, ONE, cyclotomic, divisors, monomial, poly
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -137,9 +137,13 @@ def en_from_matrix(n: int) -> IntPoly:
     return charpoly(CoxeterSystem.build(n).coxeter_matrix)
 
 
-# largest prime below 2^25: np.convolve on int64 residues stays exact
-# while EXCLUSION_PRIME^2 * ceil((deg + 1) / 2) < 2^63, about degree 16 000
-EXCLUSION_PRIME = 33_554_393
+# Mann (1965): in a minimal vanishing sum of k roots of unity, all ratios
+# of terms are m-th roots of unity, m the product of the primes <= k.  If
+# Phi_d | E_n, the six terms of S = (x - 1) E_n at zeta_d split into
+# minimal vanishing blocks, none a singleton, so d | 30 (e_i - e_j) within
+# each block; over the 41 singleton-free partitions of six terms that
+# forces d | 1800 at every n >= 10
+CYCLOTOMIC_ORDERS_DIVIDE = 1800
 
 
 @dataclass(frozen=True)
@@ -149,12 +153,14 @@ class SalemFactorization:
     cyclotomic_part: tuple[tuple[int, int], ...]  # (d, multiplicity), ascending d
     salem_candidate: IntPoly
     residue_class: int
-    exclusion_prime: int          # the three gcds below are 1 modulo this prime
-    note: str = ("no cyclotomic factor in salem_candidate: gcd(f, f1), "
-                 "gcd(f(-x), f1) and gcd(f(x), f(-x)) are 1 mod exclusion_prime, "
-                 "where f1(x^2) = f(x)f(-x); E_n has exactly one root outside "
-                 "the closed unit disk (salem_pattern), so by Kronecker's "
-                 "theorem salem_candidate is irreducible")
+    cyclotomic_orders_divide: int  # every Phi_d dividing E_n has d | this
+    note: str = ("no cyclotomic factor in salem_candidate: by Mann's theorem "
+                 "every Phi_d dividing E_n has d | cyclotomic_orders_divide; "
+                 "each such d was tested exactly on the six-term sparse form "
+                 "of (x - 1) E_n; circle roots are simple (salem_pattern), so "
+                 "each Phi_d divides at most once; E_n has exactly one root "
+                 "outside the closed unit disk (salem_pattern), so by "
+                 "Kronecker's theorem salem_candidate is irreducible")
 
     def cyclotomic_product(self) -> IntPoly:
         out = ONE
@@ -169,93 +175,68 @@ class SalemFactorization:
             "cyclotomic_part": [[d, m] for d, m in self.cyclotomic_part],
             "salem_candidate": self.salem_candidate.to_json(),
             "residue_class": self.residue_class,
-            "exclusion_prime": self.exclusion_prime,
+            "cyclotomic_orders_divide": self.cyclotomic_orders_divide,
             "note": self.note,
         }
 
 
-def _phi_d_divides(f: IntPoly, d: int) -> bool:
-    """Phi_d | f, by folding f mod x^d - 1 and reducing that mod Phi_d."""
-    folded = IntPoly([sum(f.coeffs[r::d]) for r in range(d)])
-    return folded.divmod(cyclotomic(d))[1].is_zero()
+def _sparse_terms(n: int) -> tuple[tuple[int, int], ...]:
+    """(coefficient, exponent) of S(x) = (x - 1) E_n(x)
+    = x^(n+1) - x^(n-1) - x^(n-2) + x^3 + x^2 - 1."""
+    return ((1, n + 1), (-1, n - 1), (-1, n - 2), (1, 3), (1, 2), (-1, 0))
 
 
-def _trim(a: np.ndarray) -> np.ndarray:
-    nz = np.flatnonzero(a)
-    return a[:nz[-1] + 1] if nz.size else a[:0]
+def _vanishes_at_zeta(n: int, d: int) -> bool:
+    """S(zeta_d) = 0, exactly, for d | CYCLOTOMIC_ORDERS_DIVIDE.
 
-
-def _gcd_degree_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> int:
-    """Degree of gcd(a, b) over GF(p); residues in [0, p), ascending."""
-    a, b = _trim(a), _trim(b)
-    while b.size:
-        b = b * pow(int(b[-1]), p - 2, p) % p
-        a, db = a.copy(), b.size - 1
-        for i in range(a.size - 1, db - 1, -1):
-            c = int(a[i])
-            if c:
-                a[i - db:i + 1] = (a[i - db:i + 1] - c * b) % p
-        a, b = b, _trim(a[:db])
-    return a.size - 1
-
-
-def _graeffe_mod_p(f: np.ndarray, p: int) -> np.ndarray:
-    """f1 with f1(x^2) = f(x)f(-x), as e(y)^2 - y o(y)^2 for f = e(x^2) + x o(x^2)."""
-    e, o = f[0::2], f[1::2]
-    if p * p * e.size >= 2**63:
-        raise ValueError(f"degree {f.size - 1} is too large for exact int64 "
-                         f"convolution modulo {p}")
-    e2, o2 = np.convolve(e, e) % p, np.convolve(o, o) % p
-    out = np.zeros(max(e2.size, o2.size + 1), dtype=np.int64)
-    out[:e2.size] = e2
-    out[1:o2.size + 1] -= o2
-    return out % p
-
-
-def salem_factor(e_n: IntPoly, n: int) -> SalemFactorization:
-    """Split E_n into its cyclotomic part and a Salem candidate f, exactly.
-
-    Each Phi_d with d | 360 is divided out while it divides.  Then f
-    (monic, reciprocal, of even degree) is certified to have no
-    cyclotomic factor at all (Bradford & Davenport, 1988): with f1 the
-    Graeffe square, f1(x^2) = f(x)f(-x), and zeta a primitive d-th root
-    of unity with f(zeta) = 0,
-      d odd:       zeta^2 is a primitive d-th root, so f and f1 share it;
-      d = 2 mod 4: zeta^2 is a primitive d/2-th root, a root of f(-x) and f1;
-      4 | d:       -zeta is a primitive d-th root, so f(x) and f(-x) share zeta.
-    The three gcds are taken modulo EXCLUSION_PRIME.  A common factor of
-    monic integer polynomials is monic and integral (Gauss) and keeps its
-    degree mod p, so coprime mod p implies coprime over Q.  A nontrivial
-    gcd raises StructureError: no wrong candidate is ever returned.
+    With r = rad(d) and y = x^(d/r), Phi_d(x) = Phi_r(y), and
+    x^0..x^(d/r - 1) is a basis of Q(zeta_d) over Q(zeta_r).  So writing
+    e mod d = q (d/r) + s, S vanishes at zeta_d exactly when each group
+    sum of +/- y^q over one s reduces to 0 mod Phi_r(y).
     """
-    rem = e_n
-    found: dict[int, int] = {}
-    for d in divisors(360):
-        while rem.degree >= euler_phi(d) and _phi_d_divides(rem, d):
-            rem = rem.divmod(cyclotomic(d))[0]
-            found[d] = found.get(d, 0) + 1
+    r = math.prod(p for p in (2, 3, 5) if d % p == 0)
+    m = d // r
+    groups: dict[int, list[int]] = {}
+    for c, e in _sparse_terms(n):
+        q, s = divmod(e % d, m)
+        groups.setdefault(s, [0] * r)[q] += c
+    return all(IntPoly(g).divmod(cyclotomic(r))[1].is_zero()
+               for g in groups.values())
 
+
+def cyclotomic_part(n: int) -> tuple[tuple[int, int], ...]:
+    """((d, 1), ...) for every Phi_d dividing E_n, ascending d.
+
+    Phi_1 never divides (E_n(1) = 9 - n); for d >= 2, Phi_d | E_n exactly
+    when S(zeta_d) = 0, and d | CYCLOTOMIC_ORDERS_DIVIDE (Mann).  The
+    circle roots of E_n are simple (salem_pattern), so each multiplicity
+    is 1.
+    """
+    if n < 10:
+        raise ValueError("n must be >= 10")
+    return tuple((d, 1) for d in divisors(CYCLOTOMIC_ORDERS_DIVIDE)[1:]
+                 if _vanishes_at_zeta(n, d))
+
+
+def salem_factor(n: int) -> SalemFactorization:
+    """Split E_n exactly into its cyclotomic part and a Salem candidate.
+
+    E_n is divided exactly by the Phi_d of cyclotomic_part(n); the
+    quotient must be monic, reciprocal and of even degree, or
+    StructureError: no wrong candidate is ever returned.
+    """
+    e_n = en_from_formula(n)
+    part = cyclotomic_part(n)
+    rem, r = e_n.divmod(math.prod((cyclotomic(d) for d, _ in part), start=ONE))
+    if not r.is_zero():
+        raise StructureError(f"E_{n} is not divisible by its cyclotomic part {part}")
     if rem.degree % 2 != 0 or not rem.is_monic() or not rem.is_reciprocal():
         raise StructureError(
             f"Salem candidate for n={n} is not monic reciprocal of even degree: {rem}")
-    p = EXCLUSION_PRIME
-    f = np.array([c % p for c in rem.coeffs], dtype=np.int64)
-    f_neg = f.copy()
-    f_neg[1::2] = (-f_neg[1::2]) % p
-    f1 = _graeffe_mod_p(f, p)
-    for a, b, name, orders in ((f, f1, "gcd(f, f1)", "odd d"),
-                               (f_neg, f1, "gcd(f(-x), f1)", "d = 2 mod 4"),
-                               (f, f_neg, "gcd(f(x), f(-x))", "d = 0 mod 4")):
-        if _gcd_degree_mod_p(a, b, p) > 0:
-            raise StructureError(
-                f"E_{n}: {name} is nontrivial mod {p}, so a factor Phi_d with "
-                f"{orders} (d not dividing 360) is not excluded")
     return SalemFactorization(
-        n=n, e_n=e_n,
-        cyclotomic_part=tuple(found.items()),
-        salem_candidate=rem,
+        n=n, e_n=e_n, cyclotomic_part=part, salem_candidate=rem,
         residue_class=n % 360,
-        exclusion_prime=p,
+        cyclotomic_orders_divide=CYCLOTOMIC_ORDERS_DIVIDE,
     )
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 import mpmath as mp
 
 from .polyring import IntPoly
-from .coxeter import en_from_formula, salem_factor
+from .coxeter import cyclotomic_part, salem_factor
 from .mcmullen import IntegralityCertificate, NoSiegelRoot, _pair_data
 from .roots import GUARD_BITS, ComplexBall, RealBall
 
@@ -502,10 +502,9 @@ def mau_extend(seq: MAUSequence, precision_bits: int = 512,
         k += 1
     n = n_of(k)
 
-    fact = salem_factor(en_from_formula(n), n)
+    fact = salem_factor(n)
     phi = fact.salem_candidate
-    base = salem_factor(en_from_formula(19), 19)
-    if _cyclotomic_degree(fact) != 5 or fact.cyclotomic_part != base.cyclotomic_part:
+    if fact.cyclotomic_part != cyclotomic_part(19):
         raise DegreeCertificateFailure(
             f"cyclotomic part of E_{n} deviates from the residue-19 pattern")
     if phi.degree != n - 5:
@@ -551,7 +550,7 @@ def mau_seed(ns: list[int], precision_bits: int = 512,
     for n in ns:
         if n % 6 != 1:
             raise ValueError(f"unsupported source index {n}")
-        fact = salem_factor(en_from_formula(n), n)
+        fact = salem_factor(n)
         q = fact.salem_candidate.degree // 2      # deg r of the trace polynomial
         prime, witness = is_prime(q)
         pair, cert = _source_pair(

@@ -25,7 +25,7 @@ import mpmath as mp
 
 from .polyring import IntPoly
 from .coxeter import (PISOT, PISOT_STAR, FormulaConsistencyError,
-                      SalemFactorization, en_from_formula, salem_factor)
+                      SalemFactorization, salem_factor)
 from .roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
                     arccos_ball, circle_root_arguments, cos_ball, log_ball,
                     phase_circle_root, phase_eta, phase_guess, pisot_phase,
@@ -118,8 +118,7 @@ def _branch_class(w: RealBall) -> str:
                          "retry with higher precision")
 
 
-def eigenvalue_branches(phi: IntPoly, delta: CircleRoot,
-                        precision_bits: int) -> list[Branch]:
+def eigenvalue_branches(delta: CircleRoot, precision_bits: int) -> list[Branch]:
     """Both sign branches of t^2 - s t + delta = 0 with certified tags.
 
     alpha and beta are built from the argument representation, so Siegel
@@ -396,8 +395,7 @@ def mcmullen_data(n: int, precision_bits: int = 256,
         raise ValueError(f"n must be 1 mod 6, got {n}")
     if n < 13:
         raise ValueError("n must be at least 13")
-    return _pair_data(salem_factor(en_from_formula(n), n), precision_bits,
-                      branch_sign)
+    return _pair_data(salem_factor(n), precision_bits, branch_sign)
 
 
 def _pair_data(fact: SalemFactorization, precision_bits: int,
@@ -406,11 +404,11 @@ def _pair_data(fact: SalemFactorization, precision_bits: int,
     n, phi = fact.n, fact.salem_candidate
     delta, delta_prime = witness_roots(fact, precision_bits)
 
-    branches = eigenvalue_branches(phi, delta, precision_bits)
+    branches = eigenvalue_branches(delta, precision_bits)
     br = next(b for b in branches if b.branch_sign == branch_sign)
     if br.classification != "siegel":
         raise NoSiegelRoot("chosen delta lost Siegel certification at this precision")
-    branches_p = eigenvalue_branches(phi, delta_prime, precision_bits)
+    branches_p = eigenvalue_branches(delta_prime, precision_bits)
     brp = next(b for b in branches_p if b.branch_sign == branch_sign)
 
     cert = integrality_certificate(n)

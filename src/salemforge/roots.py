@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import mpmath as mp
-import numpy as np
 
 from .coxeter import PISOT, PISOT_STAR
 from .polyring import IntPoly, poly_gcd, _scaled_div
@@ -789,6 +788,7 @@ def circle_root_brackets(p: IntPoly, expected: int | None = None
     """
     if p.degree % 2 != 0 or not p.is_reciprocal() or not p.is_monic():
         raise ValueError("circle scan expects a monic reciprocal even-degree input")
+    import numpy as np  # only this oracle grid needs numpy; keep it off the CLI import
     m = p.degree // 2
     coeffs = np.array(p.coeffs, dtype=np.float64)
     grid_factor = 64

@@ -2,14 +2,14 @@
 
 import pytest
 
-from salemforge.coxeter import en_from_formula, salem_factor
+from salemforge.coxeter import salem_factor
 from salemforge.mcmullen import mcmullen_data
 from salemforge.mau import mau_build, mau_seed
 
 
 @pytest.fixture(scope="session")
 def phi14():
-    return salem_factor(en_from_formula(19), 19).salem_candidate
+    return salem_factor(19).salem_candidate
 
 
 @pytest.fixture(scope="session")

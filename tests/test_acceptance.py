@@ -51,8 +51,8 @@ def test_02_formula_matches_matrix_oracle():
 
 def test_03_cyclotomic_part_periodicity():
     t0 = time.monotonic()
-    f19 = salem_factor(en_from_formula(19), 19)
-    f379 = salem_factor(en_from_formula(379), 379)
+    f19 = salem_factor(19)
+    f379 = salem_factor(379)
     assert sorted(f19.cyclotomic_part) == sorted(f379.cyclotomic_part)
     assert time.monotonic() - t0 < 60.0
 
@@ -85,7 +85,7 @@ def test_06_branch_consistency_at_every_circle_root():
     for root in siegel + nonsiegel:
         if root.index < 0:
             continue
-        for br in eigenvalue_branches(PHI_14, root, 256):
+        for br in eigenvalue_branches(root, 256):
             vieta = br.alpha * br.beta - root.ball
             assert vieta.abs_ball().hi < tol
             a2 = br.alpha * br.alpha

@@ -37,12 +37,21 @@ def test_coxeter_factor_19():
     report = json.loads(res.stdout)
     assert report["cyclotomic_part"] == [[2, 1], [5, 1]]
     assert [int(c) for c in report["salem_candidate"]] == PHI_14
-    assert report["exclusion_prime"] == 33_554_393
+    assert report["cyclotomic_orders_divide"] == 1800
+    assert "exclusion_prime" not in report
     assert report["irreducible"] is True
     assert report["salem_pattern"]["passed"] is True
     assert report["salem_pattern"]["circle_roots"] == 17
     assert "does not certify" not in report["note"]
     _assert_no_bare_floats(report)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy serves only the dense oracle grid, roots.circle_root_brackets
+    res = subprocess.run([sys.executable, "-c", "import sys, salemforge.cli; "
+                          "print('numpy' in sys.modules)"], capture_output=True)
+    assert res.returncode == 0
+    assert res.stdout.strip() == b"False"
 
 
 def test_coxeter_oracle_match():

@@ -1,14 +1,15 @@
 """Coxeter element, its characteristic polynomial, and Salem splitting."""
 
-import numpy as np
+from math import gcd
+
 import pytest
 
-from salemforge.polyring import IntPoly, cyclotomic, euler_phi, poly
-from salemforge.coxeter import (EXCLUSION_PRIME, PISOT, CoxeterSystem,
-                                FormulaConsistencyError, StructureError,
-                                _graeffe_mod_p, charpoly, en_from_formula,
-                                en_from_matrix, gram_matrix, salem_factor,
-                                salem_pattern)
+from salemforge import coxeter
+from salemforge.polyring import IntPoly, cyclotomic, divisors, euler_phi, poly
+from salemforge.coxeter import (CYCLOTOMIC_ORDERS_DIVIDE, PISOT, CoxeterSystem,
+                                StructureError, charpoly, cyclotomic_part,
+                                en_from_formula, en_from_matrix, gram_matrix,
+                                salem_factor, salem_pattern)
 
 # x^14 - x^13 - x^11 + x^10 - x^7 + x^4 - x^3 - x + 1, ascending
 PHI_14 = IntPoly([1, -1, 0, -1, 1, 0, 0, -1, 0, 0, 1, -1, 0, -1, 1])
@@ -48,22 +49,22 @@ def test_formula_matches_matrix(n):
 
 
 def test_e19_factorization():
-    fact = salem_factor(en_from_formula(19), 19)
+    fact = salem_factor(19)
     assert fact.cyclotomic_part == ((2, 1), (5, 1))
     assert fact.salem_candidate == PHI_14
     assert fact.cyclotomic_product() * fact.salem_candidate == fact.e_n
-    assert fact.exclusion_prime == EXCLUSION_PRIME
+    assert fact.cyclotomic_orders_divide == CYCLOTOMIC_ORDERS_DIVIDE == 1800
 
 
 def test_e10_gives_lehmer():
-    fact = salem_factor(en_from_formula(10), 10)
+    fact = salem_factor(10)
     assert fact.salem_candidate == LEHMER
 
 
 def test_no_cyclotomic_factor_divides_phi_oracle():
     # exhaustive exact oracle: phi(d) >= sqrt(d / 2), so every Phi_d of
     # degree <= top has d <= 2 top^2
-    facts = [salem_factor(en_from_formula(n), n) for n in range(10, 61)]
+    facts = [salem_factor(n) for n in range(10, 61)]
     top = max(f.salem_candidate.degree for f in facts)
     small = [d for d in range(1, 2 * top * top + 1) if euler_phi(d) <= top]
     for fact in facts:
@@ -74,35 +75,72 @@ def test_no_cyclotomic_factor_divides_phi_oracle():
                 assert not phi.divmod(cyclotomic(d))[1].is_zero(), (n, d)
 
 
-@pytest.mark.parametrize("d, gcd", [(7, r"gcd\(f, f1\)"),
-                                    (14, r"gcd\(f\(-x\), f1\)"),
-                                    (28, r"gcd\(f\(x\), f\(-x\)\)")],
-                         ids=["d7", "d14", "d28"])
-def test_planted_cyclotomic_factor_is_caught_by_its_gcd(d, gcd):
-    # d = 7, 14, 28 do not divide 360, so only the exclusion can see them
-    with pytest.raises(StructureError, match=gcd):
-        salem_factor(PHI_14 * cyclotomic(d), 19)
+def _partitions(items):
+    """Every set partition of items, as a list of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
 
 
-def test_large_cyclotomic_factor_is_not_missed():
-    # Phi_10080(x) = Phi_210(x^48) has degree 2304 and 10080 does not divide 360
-    coeffs = [0] * (48 * 48 + 1)
-    coeffs[::48] = cyclotomic(210).coeffs
-    with pytest.raises(StructureError, match="d = 0 mod 4"):
-        salem_factor(IntPoly(coeffs) * en_from_formula(739), 739)
+def test_mann_bound_divides_1800():
+    """S(zeta_d) = 0 splits the six terms of S = (x - 1) E_n into minimal
+    vanishing blocks, none a singleton; by Mann's theorem the ratio of two
+    terms in a block is a 30th root of unity, so d | 30 (e_i - e_j).  The
+    bound depends on n only through n mod 60 (every partition pairs two
+    highs, two lows, or two distinct offsets n - c), so n in 10..3609
+    covers 60 full periods."""
+    parts = [p for p in _partitions(list(range(6)))
+             if all(len(block) >= 2 for block in p)]
+    assert len(parts) == 41
+    seen = set()
+    for n in range(10, 3610):
+        exps = [e for _, e in coxeter._sparse_terms(n)]
+        bound = 1
+        for part in parts:
+            g = 0
+            for block in part:
+                for i in block:
+                    g = gcd(g, 30 * (exps[i] - exps[block[0]]))
+            bound = bound * g // gcd(bound, g)
+        assert CYCLOTOMIC_ORDERS_DIVIDE % bound == 0, n
+        seen.add(bound)
+    assert seen == {60, 120, 180, 300, 360, 600, 900, 1800}
 
 
-def test_graeffe_refuses_degree_beyond_exact_int64():
-    # e(y) has 8193 coefficients: EXCLUSION_PRIME^2 * 8193 >= 2^63
-    with pytest.raises(ValueError, match="too large"):
-        _graeffe_mod_p(np.ones(16_385, dtype=np.int64), EXCLUSION_PRIME)
-    assert _graeffe_mod_p(np.ones(16_383, dtype=np.int64), EXCLUSION_PRIME).size
+def _dense_fold_part(n):
+    """Phi_d | E_n for d | 1800 by folding dense E_n mod x^d - 1 and
+    reducing that mod Phi_d, with every multiplicity taken as 1."""
+    e_n, out = en_from_formula(n), []
+    for d in divisors(CYCLOTOMIC_ORDERS_DIVIDE)[1:]:
+        folded = IntPoly([sum(e_n.coeffs[r::d]) for r in range(d)])
+        if folded.divmod(cyclotomic(d))[1].is_zero():
+            out.append((d, 1))
+    return tuple(out)
 
 
-def test_salem_candidate_shape_guard():
-    # a wrong n would leave a non-reciprocal remainder; simulate directly
-    with pytest.raises((StructureError, FormulaConsistencyError, ValueError)):
-        salem_factor(poly(1, 2, 1, 1), 19)
+def test_cyclotomic_part_matches_dense_fold():
+    for n in range(10, 201):
+        assert cyclotomic_part(n) == _dense_fold_part(n), n
+
+
+@pytest.mark.parametrize("n", [379, 739, 3259, 19_107_739,
+                               730_201_596_227_659])
+def test_cyclotomic_part_of_mau_sources(n):
+    # 379 = 19 + 360; 739 and 3259: the MAU sources of length 4;
+    # 19 107 739 and 730 201 596 227 659: those of lengths 6 and 8
+    assert cyclotomic_part(n) == ((2, 1), (5, 1))
+
+
+def test_salem_candidate_shape_guard(monkeypatch):
+    # dropping Phi_2 leaves E_19 / Phi_5 of odd degree 15
+    monkeypatch.setattr(coxeter, "cyclotomic_part", lambda n: ((5, 1),))
+    with pytest.raises(StructureError, match="even degree"):
+        salem_factor(19)
 
 
 def test_slope_identity_holds_exactly_over_q():

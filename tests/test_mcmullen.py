@@ -17,7 +17,7 @@ from salemforge.roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
                               circle_root_brackets, eval_ball, isolate_roots,
                               phase_circle_root, phase_eta, salem_eta,
                               unit_exp_ball)
-from salemforge.coxeter import en_from_formula, salem_factor
+from salemforge.coxeter import cyclotomic_part, en_from_formula, salem_factor
 from salemforge.product import McMullenFactor, product_entropy
 from salemforge import roots
 
@@ -60,7 +60,7 @@ def test_vieta_and_quadratic_residuals_all_roots(phi14, data19):
     for root in siegel + nonsiegel:
         if root.index < 0:
             continue
-        for br in eigenvalue_branches(phi14, root, 256):
+        for br in eigenvalue_branches(root, 256):
             assert _residual(br.alpha * br.beta - root.ball) < TOL
             assert _residual(br.alpha + br.beta - br.s) < TOL
             a2 = br.alpha * br.alpha
@@ -77,7 +77,7 @@ def test_eigenvalues_are_roots_of_the_quadratic(data19):
 def test_branch_signs_disagree_in_s(phi14):
     siegel, _ = scan_siegel_roots(phi14, 256)
     root = next(r for r in siegel if r.index > 0)
-    b1, b2 = eigenvalue_branches(phi14, root, 256)
+    b1, b2 = eigenvalue_branches(root, 256)
     assert {b1.branch_sign, b2.branch_sign} == {1, -1}
     assert _residual(b1.s + b2.s) < TOL          # s flips sign with the branch
 
@@ -85,15 +85,15 @@ def test_branch_signs_disagree_in_s(phi14):
 def test_nonsiegel_ratio_separated_from_one(phi14):
     _, nonsiegel = scan_siegel_roots(phi14, 256)
     root = next(r for r in nonsiegel if r.index > 0)
-    br = eigenvalue_branches(phi14, root, 256)[0]
+    br = eigenvalue_branches(root, 256)[0]
     assert br.classification == "nonsiegel"
     assert br.ratio_abs.lo > 1 or br.ratio_abs.hi < 1
 
 
 def test_witness_roots_agrees_with_scan(phi14):
-    s, ns = witness_roots(salem_factor(en_from_formula(19), 19), 256)
-    assert eigenvalue_branches(phi14, s, 256)[0].classification == "siegel"
-    assert eigenvalue_branches(phi14, ns, 256)[0].classification == "nonsiegel"
+    s, ns = witness_roots(salem_factor(19), 256)
+    assert eigenvalue_branches(s, 256)[0].classification == "siegel"
+    assert eigenvalue_branches(ns, 256)[0].classification == "nonsiegel"
     # the witnesses keep their scan positions
     siegel, nonsiegel = scan_siegel_roots(phi14, 256)
     assert (s.index, ns.index) == (siegel[0].index, nonsiegel[0].index) == (1, 4)
@@ -101,13 +101,13 @@ def test_witness_roots_agrees_with_scan(phi14):
 
 
 def test_witness_roots_demand_a_consistent_split():
-    fact19 = salem_factor(en_from_formula(19), 19)
+    fact19 = salem_factor(19)
     # Phi_5 left out: its two roots in (0, pi) would be counted as phi's,
     # 8 != m - 1 = 6
     with pytest.raises(IsolationError):
         witness_roots(replace(fact19, cyclotomic_part=((2, 1),)), 128)
     # Phi_5 claimed for E_25, where its roots are no phase roots
-    fact25 = salem_factor(en_from_formula(25), 25)
+    fact25 = salem_factor(25)
     with pytest.raises(IsolationError):
         witness_roots(replace(fact25, cyclotomic_part=fact19.cyclotomic_part), 128)
 
@@ -116,7 +116,7 @@ def test_witness_roots_demand_a_consistent_split():
 def test_phase_roots_equal_the_dense_scan(n):
     """Every circle root of phi from the phase is the dense oracle's ball,
     mid and radius, at the position its index names."""
-    fact = salem_factor(en_from_formula(n), n)
+    fact = salem_factor(n)
     phi = fact.salem_candidate
     dense = circle_root_arguments(phi, 128, expected=phi.degree // 2 - 1)
     cyc = _cyclotomic_phases(fact)
@@ -127,7 +127,7 @@ def test_phase_roots_equal_the_dense_scan(n):
 
 def test_witnesses_and_eta_equal_the_dense_ones_at_739():
     prec = 512
-    fact = salem_factor(en_from_formula(739), 739)
+    fact = salem_factor(739)
     phi = fact.salem_candidate
     brackets = circle_root_brackets(phi, expected=phi.degree // 2 - 1)
     for root in witness_roots(fact, prec):
@@ -138,7 +138,7 @@ def test_witnesses_and_eta_equal_the_dense_ones_at_739():
 @pytest.mark.parametrize("n, indices", [(739, (1, 205)), (3259, (1, 909))])
 def test_witness_indices_follow_the_continuous_arg(n, indices):
     # a principal arg of P jumps inside (0, pi) and shifts the index
-    s, ns = witness_roots(salem_factor(en_from_formula(n), n), 128)
+    s, ns = witness_roots(salem_factor(n), 128)
     assert (s.index, ns.index) == indices
 
 
@@ -172,10 +172,10 @@ def _f_value(n, x, prec):
 
 
 def test_witnesses_certify_at_19107739():
-    """E_19107739 (n = 19 mod 360, the split of E_19) is never densified:
-    the witnesses come from the phase alone."""
+    """E_19107739 is never densified: its cyclotomic part comes from the
+    sparse split and the witnesses from the phase alone."""
     n, prec = 19_107_739, 512
-    fact = SimpleNamespace(n=n, cyclotomic_part=((2, 1), (5, 1)),
+    fact = SimpleNamespace(n=n, cyclotomic_part=cyclotomic_part(n),
                            salem_candidate=SimpleNamespace(degree=n - 5))
     s, ns = witness_roots(fact, prec)
     assert s.index == 1
@@ -201,7 +201,7 @@ def test_witness_and_eta_balls_hold_a_sign_change():
     opposite signs at the ends of each witness theta ball, and so does
     phi at the ends of the eta ball; the signs come from eval_ball."""
     prec = 512
-    phi = salem_factor(en_from_formula(739), 739).salem_candidate
+    phi = salem_factor(739).salem_candidate
     m = phi.degree // 2
 
     def g_ball(x):
@@ -218,7 +218,7 @@ def test_witness_and_eta_balls_hold_a_sign_change():
             v = eval_ball(phi, ComplexBall(mp.mpc(t), r, prec))
         return RealBall(v.mid.real, v.radius)
 
-    for root in witness_roots(salem_factor(en_from_formula(739), 739), prec):
+    for root in witness_roots(salem_factor(739), prec):
         assert _sign_certified_opposite(g_ball(root.theta.lo), g_ball(root.theta.hi))
     eta = phase_eta(739, prec)
     assert _sign_certified_opposite(phi_ball(eta.lo), phi_ball(eta.hi))
