@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .polyring import IntPoly, ONE, cyclotomic, divisors, monomial, poly
+from .polyring import (IntPoly, ONE, cyclotomic, divisors, euler_phi,
+                       monomial, poly)
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -148,10 +150,17 @@ CYCLOTOMIC_ORDERS_DIVIDE = 1800
 
 @dataclass(frozen=True)
 class SalemFactorization:
+    """E_n = (product of Phi_d^m over cyclotomic_part) * phi, named by n.
+
+    n and the sparse split determine phi, so nothing dense is stored:
+    degree is deg phi, read from the split.  The dense e_n and
+    salem_candidate are computed only when read (the coxeter factor
+    report and the oracles), and salem_candidate re-checks the exact
+    division and the monic/reciprocal/even shape.
+    """
+
     n: int
-    e_n: IntPoly
     cyclotomic_part: tuple[tuple[int, int], ...]  # (d, multiplicity), ascending d
-    salem_candidate: IntPoly
     residue_class: int
     cyclotomic_orders_divide: int  # every Phi_d dividing E_n has d | this
     note: str = ("no cyclotomic factor in salem_candidate: by Mann's theorem "
@@ -161,6 +170,26 @@ class SalemFactorization:
                  "each Phi_d divides at most once; E_n has exactly one root "
                  "outside the closed unit disk (salem_pattern), so by "
                  "Kronecker's theorem salem_candidate is irreducible")
+
+    @property
+    def degree(self) -> int:
+        """deg phi = n - sum of euler_phi(d) m over the cyclotomic part."""
+        return self.n - sum(euler_phi(d) * m for d, m in self.cyclotomic_part)
+
+    @cached_property
+    def e_n(self) -> IntPoly:
+        return en_from_formula(self.n)
+
+    @cached_property
+    def salem_candidate(self) -> IntPoly:
+        phi, r = self.e_n.divmod(self.cyclotomic_product())
+        if not r.is_zero():
+            raise StructureError(f"E_{self.n} is not divisible by its "
+                                 f"cyclotomic part {self.cyclotomic_part}")
+        if phi.degree % 2 != 0 or not phi.is_monic() or not phi.is_reciprocal():
+            raise StructureError(f"Salem candidate for n={self.n} is not "
+                                 f"monic reciprocal of even degree: {phi}")
+        return phi
 
     def cyclotomic_product(self) -> IntPoly:
         out = ONE
@@ -219,25 +248,20 @@ def cyclotomic_part(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def salem_factor(n: int) -> SalemFactorization:
-    """Split E_n exactly into its cyclotomic part and a Salem candidate.
+    """The Salem factorization of E_n from its sparse split alone, in O(1).
 
-    E_n is divided exactly by the Phi_d of cyclotomic_part(n); the
-    quotient must be monic, reciprocal and of even degree, or
-    StructureError: no wrong candidate is ever returned.
+    E_n is monic and reciprocal, and so is every Phi_d with d >= 2, so
+    phi is too; its degree must be even, or StructureError: no wrong
+    candidate is ever returned.  No dense E_n is built here.
     """
-    e_n = en_from_formula(n)
-    part = cyclotomic_part(n)
-    rem, r = e_n.divmod(math.prod((cyclotomic(d) for d, _ in part), start=ONE))
-    if not r.is_zero():
-        raise StructureError(f"E_{n} is not divisible by its cyclotomic part {part}")
-    if rem.degree % 2 != 0 or not rem.is_monic() or not rem.is_reciprocal():
-        raise StructureError(
-            f"Salem candidate for n={n} is not monic reciprocal of even degree: {rem}")
-    return SalemFactorization(
-        n=n, e_n=e_n, cyclotomic_part=part, salem_candidate=rem,
-        residue_class=n % 360,
+    fact = SalemFactorization(
+        n=n, cyclotomic_part=cyclotomic_part(n), residue_class=n % 360,
         cyclotomic_orders_divide=CYCLOTOMIC_ORDERS_DIVIDE,
     )
+    if fact.degree % 2 != 0:
+        raise StructureError(f"Salem candidate for n={n} has degree "
+                             f"{fact.degree}, not an even degree")
+    return fact
 
 
 # -- the Salem root pattern of E_n -------------------------------------------

@@ -18,7 +18,6 @@ from typing import Optional
 
 import mpmath as mp
 
-from .polyring import IntPoly
 from .coxeter import cyclotomic_part, salem_factor
 from .mcmullen import IntegralityCertificate, NoSiegelRoot, _pair_data
 from .roots import GUARD_BITS, ComplexBall, RealBall
@@ -47,8 +46,10 @@ class IndependenceFalsified(RuntimeError):
 # -- deterministic primality for desk-sized integers --------------------
 
 _TRIAL_LIMIT = 1 << 20
-_SPSP_BASES = (2, 3, 5, 7, 11, 13, 17)
-_SPSP_VALID_BELOW = 341_550_071_728_321  # smallest spsp to all 7 bases
+_SPSP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12, the smallest strong pseudoprime to all 12 bases (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
+_SPSP_VALID_BELOW = 318_665_857_834_031_151_167_461
 
 
 def _is_strong_probable_prime(n: int, a: int) -> bool:
@@ -67,7 +68,12 @@ def _is_strong_probable_prime(n: int, a: int) -> bool:
 
 
 def is_prime(n: int) -> tuple[bool, dict]:
-    """Deterministic primality with a serializable witness record."""
+    """Deterministic primality with a serializable witness record.
+
+    Trial division below 2^40, then strong probable-prime tests to the
+    first 12 prime bases, a proof below psi_12; at or above psi_12 no
+    primality proof is implemented, so ValueError.
+    """
     if n < 2:
         return False, {"method": "trivial", "detail": "n < 2"}
     p = 2
@@ -79,7 +85,10 @@ def is_prime(n: int) -> tuple[bool, dict]:
         return True, {"method": "trial_division",
                       "detail": f"no factor <= isqrt({n})"}
     if n >= _SPSP_VALID_BELOW:
-        raise ValueError(f"{n} exceeds the deterministic test range")
+        raise ValueError(
+            f"{n} is not below psi_12 = {_SPSP_VALID_BELOW}, where the "
+            f"{len(_SPSP_BASES)}-base strong pseudoprime test stops being "
+            f"a proof; no primality proof is implemented there")
     for a in _SPSP_BASES:
         if n == a:
             return True, {"method": "strong_pseudoprime", "bases": list(_SPSP_BASES)}
@@ -94,21 +103,6 @@ def d_of(k: int) -> int:
 
 def n_of(k: int) -> int:
     return 360 * k + 19
-
-
-def dk_prime_search(k_min: int, count: int, scan_cap: int = 1_000_000) -> list[int]:
-    """First `count` values k >= k_min with 180k + 7 prime."""
-    if k_min < 1:
-        raise ValueError("k_min must be >= 1")
-    out = []
-    k = k_min
-    while len(out) < count:
-        if k > k_min + scan_cap:
-            raise RuntimeError("prime scan cap exceeded")
-        if is_prime(d_of(k))[0]:
-            out.append(k)
-        k += 1
-    return out
 
 
 # -- exact-integer LLL over the scaled-argument lattice -----------------
@@ -310,14 +304,13 @@ def relation_search(arguments, bound: int, precision_bits: int) -> RelationRepor
 class MAUEntry:
     """One unit-circle value with its provenance and argument bookkeeping.
 
-    minimal_poly is the Salem polynomial of the source pair (the minimal
-    polynomial of the product alpha*beta); the entry itself generates a
-    degree <= 2 extension of that field.
+    source_n names the Salem factor phi of E_n (coxeter.salem_factor),
+    the minimal polynomial of the product alpha*beta; the entry itself
+    generates a degree <= 2 extension of that field.
     """
 
     value: ComplexBall
     argument_turns: RealBall
-    minimal_poly: IntPoly
     source_n: int
     role: str                         # "alpha" | "beta"
 
@@ -325,7 +318,6 @@ class MAUEntry:
         return {
             "value": self.value.to_json(),
             "argument_turns": self.argument_turns.to_json(),
-            "minimal_poly": self.minimal_poly.to_json(),
             "source_n": self.source_n,
             "role": self.role,
         }
@@ -436,7 +428,6 @@ def load_sequence(path) -> MAUSequence:
     entries = tuple(
         MAUEntry(value=_cball_from_json(e["value"]),
                  argument_turns=_ball_from_json(e["argument_turns"], prec),
-                 minimal_poly=IntPoly.from_json(e["minimal_poly"]),
                  source_n=int(e["source_n"]), role=e["role"])
         for e in data["entries"])
     audit = (RelationReport.from_json(data["relation_audit"])
@@ -444,10 +435,6 @@ def load_sequence(path) -> MAUSequence:
     return MAUSequence(entries=entries, degree_bound=int(data["degree_bound"]),
                        certificates=(), relation_audit=audit,
                        precision_bits=prec)
-
-
-def _cyclotomic_degree(fact) -> int:
-    return fact.e_n.degree - fact.salem_candidate.degree
 
 
 def _source_pair(fact, precision_bits: int, *, k: int, q: int,
@@ -460,7 +447,7 @@ def _source_pair(fact, precision_bits: int, *, k: int, q: int,
     Siegel and one non-Siegel root are certified, and |alpha'/beta'| must
     be certified != 1.
     """
-    n, phi = fact.n, fact.salem_candidate
+    n = fact.n
     try:
         data = _pair_data(fact, precision_bits)
     except NoSiegelRoot as exc:
@@ -471,17 +458,18 @@ def _source_pair(fact, precision_bits: int, *, k: int, q: int,
     cert = ExtensionCertificate(
         k=k, n=n, q=q, primality_witness=witness,
         degree_bound_before=degree_bound, q_exceeds_bound=q_exceeds_bound,
-        # phi is monic reciprocal of even degree (salem_factor checks it),
-        # so its trace polynomial r has degree deg phi / 2
-        deg_phi=phi.degree, deg_r=phi.degree // 2,
-        cyclotomic_degree=_cyclotomic_degree(fact),
+        # phi is monic reciprocal (as E_n and each Phi_d are) of even
+        # degree (salem_factor checks it), so its trace polynomial r has
+        # degree deg phi / 2
+        deg_phi=fact.degree, deg_r=fact.degree // 2,
+        cyclotomic_degree=n - fact.degree,
         siegel_witness_theta=data.delta.theta,
         nonsiegel_witness_theta=data.delta_prime.theta,
         nonsiegel_ratio=ratio, integrality=data.certificate, note=note)
     pair = (MAUEntry(value=data.alpha, argument_turns=data.alpha_arg_turns,
-                     minimal_poly=phi, source_n=n, role="alpha"),
+                     source_n=n, role="alpha"),
             MAUEntry(value=data.beta, argument_turns=data.beta_arg_turns,
-                     minimal_poly=phi, source_n=n, role="beta"))
+                     source_n=n, role="beta"))
     return pair, cert
 
 
@@ -493,23 +481,22 @@ def mau_extend(seq: MAUSequence, precision_bits: int = 512,
     verifies deg phi = 360k + 14 (so deg r = deg phi / 2 = q), certifies
     one Siegel and one non-Siegel root, and re-runs the joint relation audit.
     """
-    k = 1
+    k = max(1, (seq.degree_bound - 7) // 180 + 1)   # the first k with q > bound
     while True:
         q = d_of(k)
         prime, witness = is_prime(q)
-        if prime and q > seq.degree_bound:
+        if prime:
             break
         k += 1
     n = n_of(k)
 
     fact = salem_factor(n)
-    phi = fact.salem_candidate
     if fact.cyclotomic_part != cyclotomic_part(19):
         raise DegreeCertificateFailure(
             f"cyclotomic part of E_{n} deviates from the residue-19 pattern")
-    if phi.degree != n - 5:
+    if fact.degree != n - 5:
         raise DegreeCertificateFailure(
-            f"deg phi = {phi.degree}, expected {n - 5} for k={k}")
+            f"deg phi = {fact.degree}, expected {n - 5} for k={k}")
 
     pair, cert = _source_pair(fact, precision_bits, k=k, q=q, witness=witness,
                               degree_bound=seq.degree_bound,
@@ -522,7 +509,7 @@ def mau_extend(seq: MAUSequence, precision_bits: int = 512,
             f"verified relation {audit.exponents} among certified-independent "
             f"arguments: implementation bug")
     return MAUSequence(entries=entries,
-                       degree_bound=seq.degree_bound * 2 * phi.degree,
+                       degree_bound=seq.degree_bound * 2 * fact.degree,
                        certificates=seq.certificates + (cert,),
                        relation_audit=audit, precision_bits=precision_bits)
 
@@ -551,7 +538,7 @@ def mau_seed(ns: list[int], precision_bits: int = 512,
         if n % 6 != 1:
             raise ValueError(f"unsupported source index {n}")
         fact = salem_factor(n)
-        q = fact.salem_candidate.degree // 2      # deg r of the trace polynomial
+        q = fact.degree // 2      # deg r of the trace polynomial
         prime, witness = is_prime(q)
         pair, cert = _source_pair(
             fact, precision_bits, k=(n - 19) // 360, q=q, witness=witness,

@@ -206,9 +206,10 @@ def _cyclotomic_phases(fact: SalemFactorization) -> list[int]:
     """The phase indices j (h = 2 pi j) of the circle roots of the
     cyclotomic part of E_n in (0, pi), ascending.
 
-    Each root 2 pi a / d must lie on its own whole turn of the phase, and
-    the remaining indices 2..n/2 must number deg phi / 2 - 1, or
-    IsolationError: the split and the phase disagree.
+    Each root 2 pi a / d must lie on its own whole turn of the phase, or
+    IsolationError: the split and the phase disagree.  The remaining
+    indices 2..n/2 then number deg phi / 2 - 1 by construction (the
+    degree is read from the same split and is even).
     """
     n = fact.n
     out = []
@@ -224,8 +225,7 @@ def _cyclotomic_phases(fact: SalemFactorization) -> list[int]:
                                          f"phase of E_{n}")
                 out.append(j)
     out.sort()
-    if len(set(out)) != len(out) or \
-            n // 2 - 1 - len(out) != fact.salem_candidate.degree // 2 - 1:
+    if len(set(out)) != len(out):
         raise IsolationError(f"the circle roots of E_{n} do not split as "
                              f"its cyclotomic part says")
     return out
@@ -334,7 +334,6 @@ def integrality_certificate(n: int) -> IntegralityCertificate:
 @dataclass(frozen=True)
 class McMullenPairData:
     n: int
-    phi: IntPoly
     delta: CircleRoot
     branch_sign: int
     alpha: ComplexBall
@@ -355,7 +354,6 @@ class McMullenPairData:
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "phi": self.phi.to_json(),
             "delta": self.delta.to_json(),
             "branch_sign": self.branch_sign,
             "alpha": self.alpha.to_json(),
@@ -389,7 +387,8 @@ def mcmullen_data(n: int, precision_bits: int = 256,
     """Full eigenvalue data of the pair for n = 1 mod 6 at a Siegel root.
 
     The two witnesses (witness_roots) and eta (phase_eta) come from the
-    Pisot phase of E_n, at every degree; phi is not evaluated.
+    Pisot phase of E_n, at every degree; phi is neither built nor
+    evaluated.
     """
     if n % 6 != 1:
         raise ValueError(f"n must be 1 mod 6, got {n}")
@@ -401,7 +400,7 @@ def mcmullen_data(n: int, precision_bits: int = 256,
 def _pair_data(fact: SalemFactorization, precision_bits: int,
                branch_sign: int = +1) -> McMullenPairData:
     """mcmullen_data from a factorization of E_n the caller already holds."""
-    n, phi = fact.n, fact.salem_candidate
+    n = fact.n
     delta, delta_prime = witness_roots(fact, precision_bits)
 
     branches = eigenvalue_branches(delta, precision_bits)
@@ -426,7 +425,7 @@ def _pair_data(fact: SalemFactorization, precision_bits: int,
         beta_arg = _arg_turns(half - psi, precision_bits)
 
     return McMullenPairData(
-        n=n, phi=phi, delta=delta, branch_sign=branch_sign,
+        n=n, delta=delta, branch_sign=branch_sign,
         alpha=br.alpha, beta=br.beta, s=br.s, a_of_delta=br.a_of_delta,
         siegel_root=True, delta_prime=delta_prime,
         alpha_prime=brp.alpha, beta_prime=brp.beta,

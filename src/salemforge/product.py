@@ -19,7 +19,6 @@ from typing import Optional, Union
 
 import mpmath as mp
 
-from .polyring import IntPoly
 from .mau import (MAUSequence, RelationReport, relation_search,
                   PrecisionTooLow)
 from .mcmullen import IntegralityFailure, integrality_certificate
@@ -45,14 +44,9 @@ class McMullenFactor:
     """One surface factor: fixed points P and Q, eigenvalue data at Q."""
 
     n: int
-    phi: IntPoly
     alpha_arg: RealBall          # turn fractions at Q
     beta_arg: RealBall
     entry_indices: tuple[int, int]
-
-    @property
-    def fixed_point_labels(self) -> tuple[str, str]:
-        return ("P", "Q")
 
 
 @dataclass(frozen=True)
@@ -114,7 +108,7 @@ def build_product_spec(descriptors: list, joint_mau: MAUSequence,
                 raise IntegralityFailure(
                     f"integrality certificate failed for source n={n}")
             factors.append(McMullenFactor(
-                n=n, phi=a.minimal_poly, alpha_arg=a.argument_turns,
+                n=n, alpha_arg=a.argument_turns,
                 beta_arg=b.argument_turns, entry_indices=(cursor, cursor + 1)))
             cursor += 2
         elif kind == "toric":
@@ -251,7 +245,7 @@ def product_entropy(spec: ProductSpec,
     """Sum of log(eta) over surface factors; toric factors contribute 0.
 
     Each eta is the Salem number of E_n from the Pisot phase (phase_eta),
-    so no factor's phi is evaluated.
+    so no factor's phi is built or evaluated.
     """
     if precision_bits is None:
         precision_bits = spec.precision_bits

@@ -158,14 +158,6 @@ class ComplexBall:
     radius: mp.mpf
     precision_bits: int
 
-    @property
-    def re_mid(self) -> mp.mpf:
-        return self.mid.real
-
-    @property
-    def im_mid(self) -> mp.mpf:
-        return self.mid.imag
-
     @classmethod
     def exact(cls, value, precision_bits: int) -> "ComplexBall":
         with mp.workprec(precision_bits + GUARD_BITS):

@@ -115,9 +115,6 @@ class Cone:
     def det(self) -> int:
         return det_int(self.generators)
 
-    def is_smooth(self) -> bool:
-        return abs(self.det()) == 1
-
 
 @dataclass(frozen=True)
 class Fan:

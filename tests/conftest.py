@@ -27,3 +27,10 @@ def seq4():
 def seq19_739():
     """Seeded sequence coupling the n=19 pair with the n=739 pair."""
     return mau_seed([19, 739], precision_bits=512)
+
+
+@pytest.fixture(scope="session")
+def seq8():
+    """The length-8 sequence: sources n = 739, 3259, 19 107 739 and
+    730 201 596 227 659, none of them densified."""
+    return mau_build(8, precision_bits=512)

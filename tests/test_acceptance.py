@@ -172,7 +172,8 @@ def test_11_entropy_agreement(seq19_739, seq4):
 
     double = build_product_spec([("mcmullen", 739), ("mcmullen", 3259)], seq4)
     total = product_entropy(double)
-    parts = [log_ball(salem_eta(e.minimal_poly, 512), 512)
+    parts = [log_ball(salem_eta(salem_factor(e.source_n).salem_candidate,
+                                512), 512)
              for e in (seq4.entries[0], seq4.entries[2])]
     s = parts[0] + parts[1]
     assert abs(total.mid - s.mid) <= total.rad + s.rad + mp.mpf(2) ** -400

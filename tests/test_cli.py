@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
@@ -84,6 +85,26 @@ def test_certificate_report_is_small_at_large_n():
     res = run_cli("mcmullen", "certificate", "--n", "3259")
     assert res.returncode == 0 and len(res.stdout) < 1024
     assert json.loads(res.stdout)["passed"] is True
+
+
+def test_mcmullen_data_at_the_length_6_source():
+    t0 = time.monotonic()
+    res = run_cli("mcmullen", "data", "--n", "19107739", "--precision", "512")
+    assert res.returncode == 0 and time.monotonic() - t0 < 5.0
+    report = json.loads(res.stdout)
+    assert report["n"] == 19_107_739 and "phi" not in report
+    assert report["certificate"]["passed"] is True
+
+
+def test_mau_build_refuses_past_psi12():
+    # the degree bound after length 8 is about 5.3e29, above psi_12
+    t0 = time.monotonic()
+    res = run_cli("mau", "build", "--length", "10", "--precision", "512")
+    assert res.returncode == 1 and time.monotonic() - t0 < 10.0
+    report = json.loads(res.stdout)
+    assert report["kind"] == "validation"
+    assert "psi_12" in report["error"]
+    assert "no primality proof" in report["error"]
 
 
 def test_unknown_flag_exits_64_with_usage():

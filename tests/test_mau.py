@@ -1,7 +1,10 @@
 """Prime search, exact LLL, relation detection, and sequence growth."""
 
+import gzip
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -9,9 +12,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from salemforge.mau import (DegreeCertificateFailure, IndependenceFalsified,
                             MAUSequence, PrecisionTooLow, RelationReport,
-                            d_of, dk_prime_search, is_prime, lll_reduce,
+                            d_of, is_prime, lll_reduce,
                             load_arguments, load_sequence, mau_build,
                             mau_extend, mau_seed, n_of, relation_search)
+from salemforge import mau
 from salemforge.roots import RealBall
 
 
@@ -40,12 +44,32 @@ def test_is_prime_pseudoprime_range():
     # beyond trial-division reach: strong-pseudoprime path
     assert is_prime(10**13 + 37)[0]
     assert not is_prime(10**13 + 39)[0]
-    with pytest.raises(ValueError):
-        is_prime((10**13 + 37) ** 2)   # no small factor, beyond the test range
+    # psi_7, the smallest strong pseudoprime to the bases 2..17
+    prime, witness = is_prime(341_550_071_728_321)
+    assert not prime and witness == {"method": "strong_pseudoprime",
+                                     "witness_base": 23}
+    prime, witness = is_prime(365_100_798_113_827)  # q of the length-8 source
+    assert prime and len(witness["bases"]) == 12
+    # no small factor, at or beyond psi_12, the end of the test range
+    for n in (318_665_857_834_031_151_167_461, (10**13 + 37) ** 2):
+        with pytest.raises(ValueError, match="no primality proof"):
+            is_prime(n)
 
 
-def test_dk_prime_search():
-    assert dk_prime_search(1, 3) == [2, 3, 4]
+def test_extension_scan_starts_at_the_bound(monkeypatch):
+    # after length 2 the bound is 2 * 734 = 1468; the first k with
+    # q = 180k + 7 > 1468 is k = 9, and q = 1627 is prime
+    seq2 = mau_build(2, 256)
+    tested = []
+
+    def counting(q):
+        tested.append(q)
+        return is_prime(q)
+
+    monkeypatch.setattr(mau, "is_prime", counting)
+    seq4 = mau_extend(seq2, 256)
+    assert tested == [d_of(9)] == [1627]
+    assert seq4.certificates[-1].k == 9
     assert [d_of(k) for k in (2, 3, 4)] == [367, 547, 727]
     assert n_of(2) == 739
 
@@ -327,6 +351,34 @@ def test_sequence_json_round_trip(tmp_path, seq4):
     # round-tripped arguments still pass the audit at full precision
     rep = relation_search(args, 32, 512)
     assert rep.outcome == "no_relation"
+
+
+def test_stored_sequences_with_minimal_poly_still_load(tmp_path):
+    # sequences written before the dense minimal_poly left the entries
+    inputs = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+    for name in ("seq_19_739", "seq_mau4"):
+        with gzip.open(inputs / f"{name}.json.gz") as fh:
+            data = json.load(fh)
+        assert all("minimal_poly" in e for e in data["entries"])
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        seq = load_sequence(path)
+        assert [e.source_n for e in seq.entries] == \
+            [e["source_n"] for e in data["entries"]]
+        assert "minimal_poly" not in seq.to_json()["entries"][0]
+
+
+def test_length_8_sources(seq8):
+    assert [(c.k, c.q) for c in seq8.certificates] == [
+        (2, 367), (9, 1627), (53_077, 9_553_867),
+        (2_028_337_767_299, 365_100_798_113_827)]
+    assert [c.n for c in seq8.certificates[2:]] == [19_107_739,
+                                                    730_201_596_227_659]
+    assert seq8.certificates[3].degree_bound_before == 365_100_798_112_192
+    for c in seq8.certificates:
+        assert c.q_exceeds_bound and c.deg_r == c.q
+        assert c.deg_phi == c.n - 5 and c.cyclotomic_degree == 5
+    assert seq8.relation_audit.outcome == "no_relation"
 
 
 def test_seed_duplicate_source_is_falsified():

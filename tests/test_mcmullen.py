@@ -2,7 +2,6 @@
 
 from bisect import bisect_left
 from dataclasses import replace
-from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
@@ -17,9 +16,10 @@ from salemforge.roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
                               circle_root_brackets, eval_ball, isolate_roots,
                               phase_circle_root, phase_eta, salem_eta,
                               unit_exp_ball)
-from salemforge.coxeter import cyclotomic_part, en_from_formula, salem_factor
-from salemforge.product import McMullenFactor, product_entropy
-from salemforge import roots
+from salemforge.coxeter import en_from_formula, salem_factor
+from salemforge.mau import mau_build
+from salemforge.product import build_product_spec, product_entropy
+from salemforge import coxeter, roots
 
 TOL = mp.mpf(2) ** -100
 
@@ -101,15 +101,10 @@ def test_witness_roots_agrees_with_scan(phi14):
 
 
 def test_witness_roots_demand_a_consistent_split():
-    fact19 = salem_factor(19)
-    # Phi_5 left out: its two roots in (0, pi) would be counted as phi's,
-    # 8 != m - 1 = 6
-    with pytest.raises(IsolationError):
-        witness_roots(replace(fact19, cyclotomic_part=((2, 1),)), 128)
     # Phi_5 claimed for E_25, where its roots are no phase roots
     fact25 = salem_factor(25)
     with pytest.raises(IsolationError):
-        witness_roots(replace(fact25, cyclotomic_part=fact19.cyclotomic_part), 128)
+        witness_roots(replace(fact25, cyclotomic_part=((2, 1), (5, 1))), 128)
 
 
 @pytest.mark.parametrize("n", range(13, 134, 6))
@@ -143,7 +138,8 @@ def test_witness_indices_follow_the_continuous_arg(n, indices):
 
 
 def test_production_paths_evaluate_no_dense_phi(monkeypatch):
-    """mcmullen_data (below and above degree 40) and product_entropy
+    """mcmullen_data (below and above degree 40), mau_build,
+    build_product_spec and product_entropy build no dense E_n and
     evaluate only P, P* and their derivatives, never phi."""
     horner = roots._horner
 
@@ -152,15 +148,14 @@ def test_production_paths_evaluate_no_dense_phi(monkeypatch):
         return horner(coeffs, z)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the dense circle scan ran")
+        raise AssertionError("dense E_n or a dense circle scan was built")
 
     monkeypatch.setattr(roots, "_horner", small_only)
     monkeypatch.setattr(roots, "circle_root_brackets", refuse)
+    monkeypatch.setattr(coxeter, "en_from_formula", refuse)
     for n in (31, 739):
         assert mcmullen_data(n, 128).siegel_root
-    spec = SimpleNamespace(precision_bits=128, factors=[
-        McMullenFactor(n=19, phi=None, alpha_arg=None, beta_arg=None,
-                       entry_indices=(0, 1))])
+    spec = build_product_spec([("mcmullen", 739)], mau_build(2, 512))
     assert product_entropy(spec).mid > 0
 
 
@@ -175,9 +170,7 @@ def test_witnesses_certify_at_19107739():
     """E_19107739 is never densified: its cyclotomic part comes from the
     sparse split and the witnesses from the phase alone."""
     n, prec = 19_107_739, 512
-    fact = SimpleNamespace(n=n, cyclotomic_part=cyclotomic_part(n),
-                           salem_candidate=SimpleNamespace(degree=n - 5))
-    s, ns = witness_roots(fact, prec)
+    s, ns = witness_roots(salem_factor(n), prec)
     assert s.index == 1
     for root, tag in ((s, "siegel"), (ns, "nonsiegel")):
         assert _branch_class(_w_interval(root.theta, prec)) == tag

@@ -8,7 +8,9 @@ import pytest
 from salemforge.product import (FixedPoint, McMullenFactor, ProductSpec,
                                 SpecError, build_product_spec, classify,
                                 enumerate_fixed_points, product_entropy,
-                                siegel_count, SIEGEL, NONSIEGEL)
+                                siegel_count, SIEGEL, NONSIEGEL,
+                                UNDETERMINED)
+from salemforge.coxeter import salem_factor
 from salemforge.mau import MAUSequence
 from salemforge.mcmullen import IntegralityFailure
 
@@ -113,9 +115,20 @@ def test_entropy_additivity(spec_plane, spec_double, seq4):
     e1 = product_entropy(single)
     e2 = product_entropy(spec_double)
     from salemforge.roots import salem_eta, log_ball
-    phi2 = seq4.entries[2].minimal_poly
+    phi2 = salem_factor(seq4.entries[2].source_n).salem_candidate
     expect = e1 + log_ball(salem_eta(phi2, 512), 512)
     assert abs(e2.mid - expect.mid) <= e2.rad + expect.rad + mp.mpf(2) ** -400
+
+
+def test_four_surface_product_has_one_siegel_point(seq8):
+    spec = build_product_spec(
+        [("mcmullen", n) for n in (739, 3259, 19_107_739, 730_201_596_227_659)],
+        seq8)
+    count, report = siegel_count(spec)
+    assert len(report) == 16 and count == 1
+    assert [fp.address for fp in report if fp.classification == SIEGEL] == [
+        ("Q", "Q", "Q", "Q")]
+    assert not any(fp.classification == UNDETERMINED for fp in report)
 
 
 def test_pure_toric_entropy_is_zero(seq19_739):
