@@ -21,8 +21,8 @@ from .roots import IsolationError, NotSalemError
 from .mcmullen import (IntegralityFailure, NoSiegelRoot, NotSalemInput,
                        PoleError, integrality_certificate, mcmullen_data)
 from .mau import (DegreeCertificateFailure, IndependenceFalsified,
-                  PrecisionTooLow, WitnessFailure, load_arguments,
-                  load_sequence, mau_build, relation_search)
+                  PrecisionTooLow, WitnessFailure, load_sequence,
+                  mau_build, relation_search)
 from .toric import (FanError, IndependenceEvidenceMissing, TorusElement,
                     check_fan, fixed_points, load_fan)
 from .product import (SpecError, build_product_spec, product_entropy,
@@ -187,9 +187,10 @@ def mau_build_cmd(length, precision, bound, out):
 @_bound_opt
 @_out_opt
 def mau_audit(seq_file, precision, bound, out):
-    args, stored = load_arguments(seq_file)
-    report = relation_search(args, bound, min(precision, stored)).to_json()
-    report["stored_precision_bits"] = stored
+    seq = load_sequence(seq_file)
+    report = relation_search(seq.arguments(), bound,
+                             min(precision, seq.precision_bits)).to_json()
+    report["stored_precision_bits"] = seq.precision_bits
     report["run_config"] = _run_config(precision, bound, out)
     if report["outcome"] != "no_relation":
         raise ConsistencyFailure("stored sequence failed the relation audit",

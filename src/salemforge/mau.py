@@ -20,7 +20,7 @@ import mpmath as mp
 
 from .coxeter import cyclotomic_part, salem_factor
 from .mcmullen import IntegralityCertificate, NoSiegelRoot, _pair_data
-from .roots import GUARD_BITS, ComplexBall, RealBall
+from .roots import GUARD_BITS, ComplexBall, RealBall, Report
 
 
 class PrecisionTooLow(RuntimeError):
@@ -45,7 +45,6 @@ class IndependenceFalsified(RuntimeError):
 
 # -- deterministic primality for desk-sized integers --------------------
 
-_TRIAL_LIMIT = 1 << 20
 _SPSP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # psi_12, the smallest strong pseudoprime to all 12 bases (Sorenson and
 # Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
@@ -70,28 +69,21 @@ def _is_strong_probable_prime(n: int, a: int) -> bool:
 def is_prime(n: int) -> tuple[bool, dict]:
     """Deterministic primality with a serializable witness record.
 
-    Trial division below 2^40, then strong probable-prime tests to the
-    first 12 prime bases, a proof below psi_12; at or above psi_12 no
+    Divisibility by the first 12 primes, then strong probable-prime tests
+    to those 12 bases, a proof below psi_12; at or above psi_12 no
     primality proof is implemented, so ValueError.
     """
     if n < 2:
         return False, {"method": "trivial", "detail": "n < 2"}
-    p = 2
-    while p * p <= n and p <= _TRIAL_LIMIT:
-        if n % p == 0:
-            return (n == p), {"method": "trial_division", "factor": p}
-        p += 1 if p == 2 else 2
-    if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
-        return True, {"method": "trial_division",
-                      "detail": f"no factor <= isqrt({n})"}
+    for a in _SPSP_BASES:
+        if n % a == 0:
+            return n == a, {"method": "trial_division", "factor": a}
     if n >= _SPSP_VALID_BELOW:
         raise ValueError(
             f"{n} is not below psi_12 = {_SPSP_VALID_BELOW}, where the "
             f"{len(_SPSP_BASES)}-base strong pseudoprime test stops being "
             f"a proof; no primality proof is implemented there")
     for a in _SPSP_BASES:
-        if n == a:
-            return True, {"method": "strong_pseudoprime", "bases": list(_SPSP_BASES)}
         if not _is_strong_probable_prime(n, a):
             return False, {"method": "strong_pseudoprime", "witness_base": a}
     return True, {"method": "strong_pseudoprime", "bases": list(_SPSP_BASES)}
@@ -108,9 +100,9 @@ def n_of(k: int) -> int:
 # -- exact-integer LLL over the scaled-argument lattice -----------------
 
 
-def lll_reduce(rows: list[list[int]],
-               delta: Fraction = Fraction(99, 100)) -> tuple[list[list[int]], list[Fraction]]:
-    """Integral LLL (Cohen, Alg. 2.6.7); returns (basis, B*).
+def lll_reduce(rows: list[list[int]]
+               ) -> tuple[list[list[int]], list[Fraction]]:
+    """Integral LLL (Cohen, Alg. 2.6.7), delta = 99/100; returns (basis, B*).
 
     Keeps d[i] = det Gram(b_0..b_{i-1}) and lam[i][j] = d[j+1] mu[i][j],
     both integers, and updates them in place under size reduction and
@@ -118,8 +110,6 @@ def lll_reduce(rows: list[list[int]],
     rounded half to even, so the reduced basis is the one a Gram-Schmidt
     recomputation after every step would give.  B*_i = d[i+1] / d[i].
     """
-    if not Fraction(3, 4) <= delta < 1:
-        raise ValueError("delta must lie in [3/4, 1)")
     b = [[int(x) for x in row] for row in rows]
     n = len(b)
     d = [1] * (n + 1)
@@ -138,16 +128,17 @@ def lll_reduce(rows: list[list[int]],
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = round(Fraction(lam[k][j], d[j + 1]))
+            q, r = divmod(lam[k][j], d[j + 1])     # d > 0, so 0 <= r < d
+            if 2 * r > d[j + 1] or (2 * r == d[j + 1] and q % 2):
+                q += 1
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 lam[k][j] -= q * d[j + 1]
                 for l in range(j):
                     lam[k][l] -= q * lam[j][l]
-        # Lovasz condition B_k >= (delta - mu^2) B_{k-1}, times d[k] d[k-1]
+        # Lovasz condition B_k >= (99/100 - mu^2) B_{k-1}, times d[k] d[k-1]
         lk = lam[k][k - 1]
-        if (delta.denominator * (d[k + 1] * d[k - 1] + lk * lk)
-                >= delta.numerator * d[k] * d[k]):
+        if 100 * (d[k + 1] * d[k - 1] + lk * lk) >= 99 * d[k] * d[k]:
             k += 1
             continue
         b[k - 1], b[k] = b[k], b[k - 1]
@@ -173,7 +164,7 @@ _AUDIT_NOTES = (
 
 
 @dataclass(frozen=True)
-class RelationReport:
+class RelationReport(Report):
     """Outcome of the integer-relation search over argument turn fractions."""
 
     arguments: tuple[RealBall, ...]
@@ -184,18 +175,6 @@ class RelationReport:
     residual: Optional[RealBall] = None
     gap: Optional[str] = None         # certified lower bound on any residual
     notes: tuple[str, ...] = _AUDIT_NOTES
-
-    def to_json(self) -> dict:
-        return {
-            "arguments": [a.to_json() for a in self.arguments],
-            "bound": self.bound,
-            "precision_bits": self.precision_bits,
-            "outcome": self.outcome,
-            "exponents": list(self.exponents) if self.exponents else None,
-            "residual": self.residual.to_json() if self.residual else None,
-            "gap": self.gap,
-            "notes": list(self.notes),
-        }
 
     @classmethod
     def from_json(cls, data: dict) -> "RelationReport":
@@ -301,7 +280,7 @@ def relation_search(arguments, bound: int, precision_bits: int) -> RelationRepor
 
 
 @dataclass(frozen=True)
-class MAUEntry:
+class MAUEntry(Report):
     """One unit-circle value with its provenance and argument bookkeeping.
 
     source_n names the Salem factor phi of E_n (coxeter.salem_factor),
@@ -314,17 +293,9 @@ class MAUEntry:
     source_n: int
     role: str                         # "alpha" | "beta"
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value.to_json(),
-            "argument_turns": self.argument_turns.to_json(),
-            "source_n": self.source_n,
-            "role": self.role,
-        }
-
 
 @dataclass(frozen=True)
-class ExtensionCertificate:
+class ExtensionCertificate(Report):
     k: int
     n: int
     q: int
@@ -341,24 +312,9 @@ class ExtensionCertificate:
     note: str = ("smallest admissible k; geometric realizability of the "
                  "source surface is recorded, not enforced")
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k, "n": self.n, "q": self.q,
-            "primality_witness": self.primality_witness,
-            "degree_bound_before": self.degree_bound_before,
-            "q_exceeds_bound": self.q_exceeds_bound,
-            "deg_phi": self.deg_phi, "deg_r": self.deg_r,
-            "cyclotomic_degree": self.cyclotomic_degree,
-            "siegel_witness_theta": self.siegel_witness_theta.to_json(),
-            "nonsiegel_witness_theta": self.nonsiegel_witness_theta.to_json(),
-            "nonsiegel_ratio": self.nonsiegel_ratio.to_json(),
-            "integrality": self.integrality.to_json(),
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
-class MAUSequence:
+class MAUSequence(Report):
     """Immutable certified sequence; extension returns a new value."""
 
     entries: tuple[MAUEntry, ...] = ()
@@ -379,16 +335,6 @@ class MAUSequence:
             raise ValueError("length out of range")
         return replace(self, entries=self.entries[:length])
 
-    def to_json(self) -> dict:
-        return {
-            "entries": [e.to_json() for e in self.entries],
-            "degree_bound": self.degree_bound,
-            "certificates": [c.to_json() for c in self.certificates],
-            "relation_audit": (self.relation_audit.to_json()
-                               if self.relation_audit else None),
-            "precision_bits": self.precision_bits,
-        }
-
     def dump(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_json(), fh, indent=1, sort_keys=True)
@@ -405,15 +351,6 @@ def _cball_from_json(data: dict) -> ComplexBall:
     with mp.workprec(max(2 * prec, 4 * len(data["re"])) + GUARD_BITS):
         return ComplexBall(mp.mpc(mp.mpf(data["re"]), mp.mpf(data["im"])),
                            mp.mpf(data["radius"]), prec)
-
-
-def load_arguments(path) -> tuple[list[RealBall], int]:
-    """(argument balls, stored precision) from a serialized sequence file."""
-    with open(path) as fh:
-        data = json.load(fh)
-    prec = int(data["precision_bits"])
-    return [_ball_from_json(e["argument_turns"], prec)
-            for e in data["entries"]], prec
 
 
 def load_sequence(path) -> MAUSequence:
@@ -473,13 +410,13 @@ def _source_pair(fact, precision_bits: int, *, k: int, q: int,
     return pair, cert
 
 
-def mau_extend(seq: MAUSequence, precision_bits: int = 512,
-               relation_bound: int = 32) -> MAUSequence:
+def mau_extend(seq: MAUSequence, precision_bits: int = 512) -> MAUSequence:
     """Append the (alpha, beta) pair of the next admissible prime degree.
 
     Selects the smallest k with q = 180k + 7 prime and q > seq.degree_bound,
-    verifies deg phi = 360k + 14 (so deg r = deg phi / 2 = q), certifies
-    one Siegel and one non-Siegel root, and re-runs the joint relation audit.
+    verifies deg phi = 360k + 14 (so deg r = deg phi / 2 = q) and
+    certifies one Siegel and one non-Siegel root.  The result carries no
+    relation audit: the builder audits the finished sequence once.
     """
     k = max(1, (seq.degree_bound - 7) // 180 + 1)   # the first k with q > bound
     while True:
@@ -501,17 +438,25 @@ def mau_extend(seq: MAUSequence, precision_bits: int = 512,
     pair, cert = _source_pair(fact, precision_bits, k=k, q=q, witness=witness,
                               degree_bound=seq.degree_bound,
                               q_exceeds_bound=q > seq.degree_bound)
-    entries = seq.entries + pair
-    audit = relation_search([e.argument_turns for e in entries],
-                            relation_bound, precision_bits)
-    if audit.outcome == "candidate":
-        raise IndependenceFalsified(
-            f"verified relation {audit.exponents} among certified-independent "
-            f"arguments: implementation bug")
-    return MAUSequence(entries=entries,
+    return MAUSequence(entries=seq.entries + pair,
                        degree_bound=seq.degree_bound * 2 * fact.degree,
                        certificates=seq.certificates + (cert,),
-                       relation_audit=audit, precision_bits=precision_bits)
+                       relation_audit=None, precision_bits=precision_bits)
+
+
+def _audited(seq: MAUSequence, relation_bound: int) -> MAUSequence:
+    """seq with one joint relation audit over all its entries.
+
+    It covers every prefix too: a relation among a prefix is a relation
+    of the whole sequence with zero exponents appended.
+    """
+    audit = relation_search(seq.arguments(), relation_bound,
+                            seq.precision_bits)
+    if audit.outcome == "candidate":
+        raise IndependenceFalsified(
+            f"verified relation {audit.exponents} among the arguments of "
+            f"the sequence")
+    return replace(seq, relation_audit=audit)
 
 
 def mau_build(length: int, precision_bits: int = 512,
@@ -521,8 +466,8 @@ def mau_build(length: int, precision_bits: int = 512,
         raise ValueError("length must be an even integer >= 2")
     seq = MAUSequence(precision_bits=precision_bits)
     for _ in range(length // 2):
-        seq = mau_extend(seq, precision_bits, relation_bound)
-    return seq
+        seq = mau_extend(seq, precision_bits)
+    return _audited(seq, relation_bound)
 
 
 def mau_seed(ns: list[int], precision_bits: int = 512,
@@ -548,11 +493,5 @@ def mau_seed(ns: list[int], precision_bits: int = 512,
         seq = MAUSequence(entries=seq.entries + pair,
                           degree_bound=seq.degree_bound * 2 * cert.deg_phi,
                           certificates=seq.certificates + (cert,),
-                          relation_audit=None,
                           precision_bits=precision_bits)
-    audit = relation_search([e.argument_turns for e in seq.entries],
-                            relation_bound, precision_bits)
-    if audit.outcome == "candidate":
-        raise IndependenceFalsified(
-            f"verified relation {audit.exponents} in seeded sequence")
-    return replace(seq, relation_audit=audit)
+    return _audited(seq, relation_bound)

@@ -27,9 +27,9 @@ from .polyring import IntPoly
 from .coxeter import (PISOT, PISOT_STAR, FormulaConsistencyError,
                       SalemFactorization, salem_factor)
 from .roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
-                    arccos_ball, circle_root_arguments, cos_ball, log_ball,
-                    phase_circle_root, phase_eta, phase_guess, pisot_phase,
-                    salem_eta, sqrt_ball, unit_exp_ball)
+                    Report, arccos_ball, circle_root_arguments, cos_ball,
+                    log_ball, phase_circle_root, phase_eta, phase_guess,
+                    pisot_phase, salem_eta, sqrt_ball, unit_exp_ball)
 
 
 class PoleError(ValueError):
@@ -79,17 +79,6 @@ class Branch:
     a_of_delta: ComplexBall    # coefficient in x^2 + a(delta) x + delta^2
     classification: str        # "siegel" | "nonsiegel"
     ratio_abs: RealBall        # certified |alpha / beta|
-
-    def to_json(self) -> dict:
-        return {
-            "branch_sign": self.branch_sign,
-            "alpha": self.alpha.to_json(),
-            "beta": self.beta.to_json(),
-            "s": self.s.to_json(),
-            "a_of_delta": self.a_of_delta.to_json(),
-            "classification": self.classification,
-            "ratio_abs": self.ratio_abs.to_json(),
-        }
 
 
 def _w_interval(theta: RealBall, precision_bits: int) -> RealBall:
@@ -271,7 +260,7 @@ def witness_roots(fact: SalemFactorization, precision_bits: int
 
 
 @dataclass(frozen=True)
-class IntegralityCertificate:
+class IntegralityCertificate(Report):
     """E_n(omega) = a + b omega in Z[omega] and its norm N = a^2 - ab + b^2.
 
     N = Res(E_n, x^2+x+1) = prod (delta^2 + delta + 1) over the roots of
@@ -292,14 +281,7 @@ class IntegralityCertificate:
         return all(ok for _, ok in self.checks)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "a": self.a,
-            "b": self.b,
-            "norm": self.norm,
-            "checks": [[name, ok] for name, ok in self.checks],
-            "passed": self.passed,
-        }
+        return {**super().to_json(), "passed": self.passed}
 
 
 def integrality_certificate(n: int) -> IntegralityCertificate:
@@ -332,7 +314,7 @@ def integrality_certificate(n: int) -> IntegralityCertificate:
 
 
 @dataclass(frozen=True)
-class McMullenPairData:
+class McMullenPairData(Report):
     n: int
     delta: CircleRoot
     branch_sign: int
@@ -350,27 +332,6 @@ class McMullenPairData:
     alpha_arg_turns: RealBall         # arg(alpha) / 2 pi in [0, 1)
     beta_arg_turns: RealBall
     ratio_prime: RealBall             # certified |alpha' / beta'|
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "delta": self.delta.to_json(),
-            "branch_sign": self.branch_sign,
-            "alpha": self.alpha.to_json(),
-            "beta": self.beta.to_json(),
-            "s": self.s.to_json(),
-            "a_of_delta": self.a_of_delta.to_json(),
-            "siegel_root": self.siegel_root,
-            "delta_prime": self.delta_prime.to_json() if self.delta_prime else None,
-            "alpha_prime": self.alpha_prime.to_json() if self.alpha_prime else None,
-            "beta_prime": self.beta_prime.to_json() if self.beta_prime else None,
-            "entropy": self.entropy.to_json(),
-            "certificate": self.certificate.to_json(),
-            "precision_bits": self.precision_bits,
-            "alpha_arg_turns": self.alpha_arg_turns.to_json(),
-            "beta_arg_turns": self.beta_arg_turns.to_json(),
-            "ratio_prime": self.ratio_prime.to_json(),
-        }
 
 
 def _arg_turns(theta_component: RealBall, precision_bits: int) -> RealBall:

@@ -22,7 +22,7 @@ import mpmath as mp
 from .mau import (MAUSequence, RelationReport, relation_search,
                   PrecisionTooLow)
 from .mcmullen import IntegralityFailure, integrality_certificate
-from .roots import RealBall, log_ball, phase_eta
+from .roots import RealBall, Report, log_ball, phase_eta
 from .toric import (Fan, TorusElement, ToricFixedPoint, check_fan,
                     fixed_points as toric_fixed_points, load_fan)
 
@@ -140,7 +140,7 @@ def build_product_spec(descriptors: list, joint_mau: MAUSequence,
 
 
 @dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(Report):
     """One fixed point of the product with its classification record."""
 
     address: tuple            # "P"/"Q" per surface factor, cone index per toric
@@ -148,16 +148,6 @@ class FixedPoint:
     contains_p: bool
     classification: str = UNDETERMINED
     evidence: Optional[dict] = None
-
-    def to_json(self) -> dict:
-        return {
-            "address": list(self.address),
-            "eigenvalue_arguments": [a.to_json()
-                                     for a in self.eigenvalue_arguments],
-            "contains_p": self.contains_p,
-            "classification": self.classification,
-            "evidence": self.evidence,
-        }
 
 
 def enumerate_fixed_points(spec: ProductSpec) -> list[FixedPoint]:

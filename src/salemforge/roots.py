@@ -28,7 +28,7 @@ circle is tagged "unresolved".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import mpmath as mp
 
@@ -144,6 +144,26 @@ class RealBall:
         return {"mid": _str_full(self.mid), "radius": _str_outward(self.rad)}
 
 
+def _jsonable(value):
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+class Report:
+    """Mixin for report dataclasses: the JSON object is the fields by name.
+
+    A field value with its own to_json (a ball, an IntPoly, a nested
+    report) is serialised by it, tuples and lists element by element, and
+    anything else (ints, strings, bools, None, plain dicts) as it is.
+    """
+
+    def to_json(self) -> dict:
+        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
+
+
 def _as_real(x) -> RealBall:
     if isinstance(x, RealBall):
         return x
@@ -225,10 +245,6 @@ class ComplexBall:
     def contains(self, value) -> bool:
         with mp.workprec(self.precision_bits + GUARD_BITS):
             return abs(self.mid - mp.mpc(value)) <= self.radius
-
-    def overlaps(self, other: "ComplexBall") -> bool:
-        with mp.workprec(self.precision_bits + GUARD_BITS):
-            return abs(self.mid - other.mid) <= self.radius + other.radius
 
     def to_json(self) -> dict:
         return {
@@ -403,13 +419,6 @@ class RootSet:
     def balls(self):
         return [b for b, _ in self.roots]
 
-    def to_json(self) -> dict:
-        return {
-            "poly": self.poly.to_json(),
-            "roots": [{"ball": b.to_json(), "multiplicity": m, "class": c}
-                      for (b, m), c in zip(self.roots, self.classification)],
-        }
-
 
 def _pairing_index(balls, target_of):
     """For each ball index, the unique ball containing target_of(mid), else None."""
@@ -505,15 +514,6 @@ class SalemCertificate:
     eta_reciprocal: ComplexBall
     circle_roots: tuple[ComplexBall, ...]
     precision_bits: int
-
-    def to_json(self) -> dict:
-        return {
-            "poly": self.poly.to_json(),
-            "eta": self.eta.to_json(),
-            "eta_reciprocal": self.eta_reciprocal.to_json(),
-            "n_circle_roots": len(self.circle_roots),
-            "precision_bits": self.precision_bits,
-        }
 
 
 def classify_salem(rs: RootSet) -> SalemCertificate:

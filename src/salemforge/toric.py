@@ -21,7 +21,7 @@ from typing import Optional
 import mpmath as mp
 
 from .mau import MAUSequence, RelationReport
-from .roots import GUARD_BITS, ComplexBall, RealBall, unit_exp_ball
+from .roots import GUARD_BITS, ComplexBall, RealBall, Report, unit_exp_ball
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -151,18 +151,13 @@ def load_fan(source) -> Fan:
 
 
 @dataclass(frozen=True)
-class FanCertificate:
+class FanCertificate(Report):
     dim: int
     n_cones: int
     passed: bool
     failures: tuple[str, ...]
     cone_dets: tuple[int, ...]
     n_facets: int
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "n_cones": self.n_cones, "passed": self.passed,
-                "failures": list(self.failures),
-                "cone_dets": list(self.cone_dets), "n_facets": self.n_facets}
 
 
 def check_fan(fan: Fan) -> FanCertificate:
@@ -266,7 +261,7 @@ def _turns_mod1(x: RealBall, precision_bits: int) -> RealBall:
 
 
 @dataclass(frozen=True)
-class TorusElement:
+class TorusElement(Report):
     """Point of the compact torus, stored by coordinate arguments (turns)."""
 
     dim: int
@@ -308,25 +303,14 @@ class TorusElement:
                               precision_bits)
                 for a in self.arguments)
 
-    def to_json(self) -> dict:
-        return {"dim": self.dim,
-                "arguments": [a.to_json() for a in self.arguments],
-                "provenance": list(self.provenance)}
-
 
 @dataclass(frozen=True)
-class ToricFixedPoint:
+class ToricFixedPoint(Report):
     """The torus-fixed point of one maximal cone with linearized data."""
 
     cone_index: int
     dual_basis: IntMatrix
     eigenvalue_arguments: tuple[RealBall, ...]   # theta . K_i mod 1
-
-    def to_json(self) -> dict:
-        return {"cone_index": self.cone_index,
-                "dual_basis": [list(r) for r in self.dual_basis],
-                "eigenvalue_arguments": [a.to_json()
-                                         for a in self.eigenvalue_arguments]}
 
 
 def _has_independence_evidence(a: TorusElement,

@@ -203,6 +203,73 @@ def test_product_classify_without_integrality_certificate_exits_2(
     assert report["type"] == "IntegralityFailure"
 
 
+BALL = {"mid", "radius"}
+CBALL = {"re", "im", "radius", "precision_bits"}
+RUN_CONFIG = {"precision_bits", "relation_bound", "output"}
+AUDIT = {"arguments", "bound", "precision_bits", "outcome", "exponents",
+         "residual", "gap", "notes"}
+INTEGRALITY = {"n", "a", "b", "norm", "checks", "passed"}
+
+
+def test_report_key_sets(seq_file, tmp_path):
+    # every report object is its dataclass fields by name; these are the
+    # keys a serialiser change could add or drop
+    def report(*args):
+        res = run_cli(*args)
+        assert res.returncode == 0, res.stdout
+        return json.loads(res.stdout)
+
+    data = report("mcmullen", "data", "--n", "19", "--precision", "128")
+    assert set(data) == {
+        "n", "delta", "branch_sign", "alpha", "beta", "s", "a_of_delta",
+        "siegel_root", "delta_prime", "alpha_prime", "beta_prime", "entropy",
+        "certificate", "precision_bits", "alpha_arg_turns", "beta_arg_turns",
+        "ratio_prime", "run_config"}
+    assert set(data["delta"]) == {"theta", "delta", "index"}
+    assert set(data["alpha"]) == CBALL and set(data["entropy"]) == BALL
+    assert set(data["certificate"]) == INTEGRALITY
+
+    cert = report("mcmullen", "certificate", "--n", "3259")
+    assert set(cert) == INTEGRALITY | {"run_config"}
+    assert set(cert["run_config"]) == RUN_CONFIG
+
+    built = json.loads(seq_file.read_text())
+    assert set(built) == {"entries", "degree_bound", "certificates",
+                          "relation_audit", "precision_bits", "run_config"}
+    assert set(built["entries"][0]) == {"value", "argument_turns",
+                                        "source_n", "role"}
+    assert set(built["certificates"][0]) == {
+        "k", "n", "q", "primality_witness", "degree_bound_before",
+        "q_exceeds_bound", "deg_phi", "deg_r", "cyclotomic_degree",
+        "siegel_witness_theta", "nonsiegel_witness_theta",
+        "nonsiegel_ratio", "integrality", "note"}
+    assert set(built["certificates"][0]["integrality"]) == INTEGRALITY
+    assert set(built["relation_audit"]) == AUDIT
+
+    audit = report("mau", "audit", str(seq_file))
+    assert set(audit) == AUDIT | {"stored_precision_bits", "run_config"}
+
+    fan = report("toric", "check", "p1xp1")
+    assert set(fan) == {"dim", "n_cones", "passed", "failures", "cone_dets",
+                        "n_facets", "smooth", "complete", "N", "run_config"}
+
+    toric = report("toric", "fixed-points", "plane", "--mau", str(seq_file))
+    assert set(toric) == {"fan", "element", "audit", "fixed_points", "count",
+                          "run_config"}
+    assert set(toric["element"]) == {"dim", "arguments", "provenance"}
+    assert set(toric["fixed_points"][0]) == {"cone_index", "dual_basis",
+                                             "eigenvalue_arguments"}
+    assert set(toric["audit"]) == AUDIT
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"factors": [{"type": "mcmullen", "n": 739}], "mau": str(seq_file)}))
+    product = report("product", "classify", str(spec), "--precision", "512")
+    for fp in product["fixed_points"]:
+        assert set(fp) == {"address", "eigenvalue_arguments", "contains_p",
+                           "classification", "evidence"}
+
+
 def test_product_classify_spec_file(seq_file, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(

@@ -12,9 +12,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from salemforge.mau import (DegreeCertificateFailure, IndependenceFalsified,
                             MAUSequence, PrecisionTooLow, RelationReport,
-                            d_of, is_prime, lll_reduce,
-                            load_arguments, load_sequence, mau_build,
-                            mau_extend, mau_seed, n_of, relation_search)
+                            d_of, is_prime, lll_reduce, load_sequence,
+                            mau_build, mau_extend, mau_seed, n_of,
+                            relation_search)
 from salemforge import mau
 from salemforge.roots import RealBall
 
@@ -41,7 +41,7 @@ def test_is_prime_matches_sieve():
 
 
 def test_is_prime_pseudoprime_range():
-    # beyond trial-division reach: strong-pseudoprime path
+    # no factor among the 12 bases: the strong-pseudoprime path
     assert is_prime(10**13 + 37)[0]
     assert not is_prime(10**13 + 39)[0]
     # psi_7, the smallest strong pseudoprime to the bases 2..17
@@ -70,8 +70,25 @@ def test_extension_scan_starts_at_the_bound(monkeypatch):
     seq4 = mau_extend(seq2, 256)
     assert tested == [d_of(9)] == [1627]
     assert seq4.certificates[-1].k == 9
+    assert seq4.relation_audit is None   # audited once, by the builder
     assert [d_of(k) for k in (2, 3, 4)] == [367, 547, 727]
     assert n_of(2) == 739
+
+
+def test_one_relation_audit_per_build(monkeypatch):
+    # extensions append unaudited pairs; the one final audit covers every
+    # prefix, since a prefix relation extends by zero exponents
+    searched = []
+
+    def counting(arguments, bound, precision_bits):
+        searched.append(len(arguments))
+        return relation_search(arguments, bound, precision_bits)
+
+    monkeypatch.setattr(mau, "relation_search", counting)
+    seq = mau_build(4, 256)
+    assert searched == [4]
+    assert seq.relation_audit.outcome == "no_relation"
+    assert len(seq.relation_audit.arguments) == 4
 
 
 # -- LLL ----------------------------------------------------------------
@@ -104,11 +121,6 @@ def test_lll_preserves_lattice_and_shortens():
     assert min(sum(x * x for x in v) for v in red) \
         <= min(sum(x * x for x in v) for v in rows)
     assert all(b > 0 for b in b_norms)
-
-
-def test_lll_rejects_bad_delta():
-    with pytest.raises(ValueError):
-        lll_reduce([[1, 0], [0, 1]], delta=Fraction(1, 2))
 
 
 def _oracle_gram_schmidt(basis):
@@ -343,13 +355,11 @@ def test_truncation_keeps_prefix_and_certificates(seq4):
 def test_sequence_json_round_trip(tmp_path, seq4):
     path = tmp_path / "seq.json"
     seq4.dump(path)
-    args, prec = load_arguments(path)
-    assert prec == 512 and len(args) == 4
     again = load_sequence(path)
-    assert len(again) == 4
+    assert again.precision_bits == 512 and len(again) == 4
     assert again.degree_bound == seq4.degree_bound
     # round-tripped arguments still pass the audit at full precision
-    rep = relation_search(args, 32, 512)
+    rep = relation_search(again.arguments(), 32, 512)
     assert rep.outcome == "no_relation"
 
 
