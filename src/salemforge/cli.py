@@ -13,18 +13,17 @@ import sys
 
 import click
 
-from .polyring import IntPoly, NonMonicDivisorError
 from .coxeter import (FormulaConsistencyError, StructureError,
                       en_from_formula, en_from_matrix, salem_factor,
                       salem_pattern)
 from .roots import IsolationError, NotSalemError
-from .mcmullen import (IntegralityFailure, NoSiegelRoot, NotSalemInput,
-                       PoleError, integrality_certificate, mcmullen_data)
+from .mcmullen import (IntegralityFailure, NoSiegelRoot,
+                       integrality_certificate, mcmullen_data)
 from .mau import (DegreeCertificateFailure, IndependenceFalsified,
-                  PrecisionTooLow, WitnessFailure, load_sequence,
+                  PrecisionTooLow, WitnessFailure, json_fields, load_sequence,
                   mau_build, relation_search)
-from .toric import (FanError, IndependenceEvidenceMissing, TorusElement,
-                    check_fan, fixed_points, load_fan)
+from .toric import (IndependenceEvidenceMissing, TorusElement, check_fan,
+                    fixed_points, load_fan)
 from .product import (SpecError, build_product_spec, product_entropy,
                       siegel_count)
 
@@ -33,10 +32,8 @@ EXIT_INVALID = 1
 EXIT_INCONSISTENT = 2
 EXIT_USAGE = 64
 
-_VALIDATION_ERRORS = (SpecError, FanError, NotSalemInput, PoleError,
-                      NonMonicDivisorError, PrecisionTooLow,
-                      IndependenceEvidenceMissing, ValueError,
-                      FileNotFoundError, json.JSONDecodeError)
+_VALIDATION_ERRORS = (ValueError, PrecisionTooLow, IndependenceEvidenceMissing,
+                      FileNotFoundError)
 _CONSISTENCY_ERRORS = (FormulaConsistencyError, StructureError,
                        DegreeCertificateFailure, WitnessFailure,
                        IndependenceFalsified, NotSalemError, IsolationError,
@@ -253,15 +250,19 @@ def toric_fixed_points(fan_file, seq_file, precision, bound, out):
 def _spec_from_file(spec_file: str, precision: int):
     with open(spec_file) as fh:
         data = json.load(fh)
-    seq = load_sequence(data["mau"])
+    seq_file, factors = json_fields(data, spec_file, "mau", "factors")
+    seq = load_sequence(seq_file)
     descriptors = []
-    for f in data["factors"]:
-        if f["type"] == "mcmullen":
-            descriptors.append(("mcmullen", int(f["n"])))
-        elif f["type"] == "toric":
-            descriptors.append(("toric", f["fan"]))
+    for f in factors:
+        kind, = json_fields(f, spec_file, "type")
+        if kind == "mcmullen":
+            n, = json_fields(f, spec_file, "n")
+            descriptors.append(("mcmullen", int(n)))
+        elif kind == "toric":
+            fan, = json_fields(f, spec_file, "fan")
+            descriptors.append(("toric", fan))
         else:
-            raise SpecError(f"unknown factor type {f['type']!r}")
+            raise SpecError(f"unknown factor type {kind!r}")
     return build_product_spec(descriptors, seq, precision)
 
 

@@ -191,13 +191,16 @@ class RelationReport(Report):
 
 
 def _as_argument_ball(x) -> RealBall:
+    """x as a RealBall; a Fraction is rounded at the working precision."""
     if isinstance(x, RealBall):
         return x
     if isinstance(x, mp.mpf):
         # an exact binary number: kept at its own precision, radius 0
         return RealBall(x, mp.mpf(0))
     if isinstance(x, Fraction):
-        return RealBall(mp.mpf(x.numerator) / x.denominator, mp.mpf(0))
+        # two roundings, each within 2^-prec relative; 0 stays exact
+        mid = mp.mpf(x.numerator) / x.denominator
+        return RealBall(mid, abs(mid) * mp.ldexp(1, 2 - mp.mp.prec))
     return RealBall(mp.mpf(x), mp.mpf(0))
 
 
@@ -220,11 +223,11 @@ def relation_search(arguments, bound: int, precision_bits: int) -> RelationRepor
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    args = [_as_argument_ball(a) for a in arguments]
-    if not args:
-        raise ValueError("need at least one argument")
-    n = len(args)
     with mp.workprec(2 * precision_bits + GUARD_BITS):
+        args = [_as_argument_ball(a) for a in arguments]
+        if not args:
+            raise ValueError("need at least one argument")
+        n = len(args)
         for a in args:
             if not (0 <= a.mid < 1):
                 raise ValueError("arguments must be turn fractions in [0, 1)")
@@ -353,6 +356,15 @@ def _cball_from_json(data: dict) -> ComplexBall:
                            mp.mpf(data["radius"]), prec)
 
 
+def json_fields(data, source, *keys) -> tuple:
+    """The values of keys in the parsed JSON object data, or ValueError
+    naming source and the first key it lacks."""
+    for key in keys:
+        if not isinstance(data, dict) or key not in data:
+            raise ValueError(f"{source}: missing key {key!r}")
+    return tuple(data[key] for key in keys)
+
+
 def load_sequence(path) -> MAUSequence:
     """Rebuild a sequence from its JSON dump.
 
@@ -361,24 +373,27 @@ def load_sequence(path) -> MAUSequence:
     """
     with open(path) as fh:
         data = json.load(fh)
-    prec = int(data["precision_bits"])
-    entries = tuple(
-        MAUEntry(value=_cball_from_json(e["value"]),
-                 argument_turns=_ball_from_json(e["argument_turns"], prec),
-                 source_n=int(e["source_n"]), role=e["role"])
-        for e in data["entries"])
+    prec, raw, bound = json_fields(data, path, "precision_bits", "entries",
+                                   "degree_bound")
+    prec, entries = int(prec), []
+    for e in raw:
+        value, turns, n, role = json_fields(e, path, "value", "argument_turns",
+                                            "source_n", "role")
+        entries.append(MAUEntry(value=_cball_from_json(value),
+                                argument_turns=_ball_from_json(turns, prec),
+                                source_n=int(n), role=role))
     audit = (RelationReport.from_json(data["relation_audit"])
              if data.get("relation_audit") else None)
-    return MAUSequence(entries=entries, degree_bound=int(data["degree_bound"]),
+    return MAUSequence(entries=tuple(entries), degree_bound=int(bound),
                        certificates=(), relation_audit=audit,
                        precision_bits=prec)
 
 
-def _source_pair(fact, precision_bits: int, *, k: int, q: int,
-                 witness: dict, degree_bound: int, q_exceeds_bound: bool,
-                 note: str = ExtensionCertificate.note
-                 ) -> tuple[tuple[MAUEntry, MAUEntry], ExtensionCertificate]:
-    """The (alpha, beta) entries of source n = fact.n and their certificate.
+def _source_pair(seq: MAUSequence, fact, precision_bits: int, *, k: int,
+                 q: int, witness: dict, q_exceeds_bound: bool,
+                 note: str = ExtensionCertificate.note) -> MAUSequence:
+    """seq extended by the (alpha, beta) entries of source n = fact.n and
+    their certificate, without a relation audit.
 
     fact is the factorization of E_n, reused for the eigenvalue data; one
     Siegel and one non-Siegel root are certified, and |alpha'/beta'| must
@@ -394,7 +409,7 @@ def _source_pair(fact, precision_bits: int, *, k: int, q: int,
         raise WitnessFailure("no certified |alpha'/beta'| != 1 witness")
     cert = ExtensionCertificate(
         k=k, n=n, q=q, primality_witness=witness,
-        degree_bound_before=degree_bound, q_exceeds_bound=q_exceeds_bound,
+        degree_bound_before=seq.degree_bound, q_exceeds_bound=q_exceeds_bound,
         # phi is monic reciprocal (as E_n and each Phi_d are) of even
         # degree (salem_factor checks it), so its trace polynomial r has
         # degree deg phi / 2
@@ -407,7 +422,10 @@ def _source_pair(fact, precision_bits: int, *, k: int, q: int,
                      source_n=n, role="alpha"),
             MAUEntry(value=data.beta, argument_turns=data.beta_arg_turns,
                      source_n=n, role="beta"))
-    return pair, cert
+    return MAUSequence(entries=seq.entries + pair,
+                       degree_bound=seq.degree_bound * 2 * fact.degree,
+                       certificates=seq.certificates + (cert,),
+                       precision_bits=precision_bits)
 
 
 def mau_extend(seq: MAUSequence, precision_bits: int = 512) -> MAUSequence:
@@ -435,13 +453,8 @@ def mau_extend(seq: MAUSequence, precision_bits: int = 512) -> MAUSequence:
         raise DegreeCertificateFailure(
             f"deg phi = {fact.degree}, expected {n - 5} for k={k}")
 
-    pair, cert = _source_pair(fact, precision_bits, k=k, q=q, witness=witness,
-                              degree_bound=seq.degree_bound,
-                              q_exceeds_bound=q > seq.degree_bound)
-    return MAUSequence(entries=seq.entries + pair,
-                       degree_bound=seq.degree_bound * 2 * fact.degree,
-                       certificates=seq.certificates + (cert,),
-                       relation_audit=None, precision_bits=precision_bits)
+    return _source_pair(seq, fact, precision_bits, k=k, q=q, witness=witness,
+                        q_exceeds_bound=q > seq.degree_bound)
 
 
 def _audited(seq: MAUSequence, relation_bound: int) -> MAUSequence:
@@ -485,13 +498,8 @@ def mau_seed(ns: list[int], precision_bits: int = 512,
         fact = salem_factor(n)
         q = fact.degree // 2      # deg r of the trace polynomial
         prime, witness = is_prime(q)
-        pair, cert = _source_pair(
-            fact, precision_bits, k=(n - 19) // 360, q=q, witness=witness,
-            degree_bound=seq.degree_bound,
+        seq = _source_pair(
+            seq, fact, precision_bits, k=(n - 19) // 360, q=q, witness=witness,
             q_exceeds_bound=prime and q > seq.degree_bound,
             note="explicitly seeded source; growth guarantee not certified")
-        seq = MAUSequence(entries=seq.entries + pair,
-                          degree_bound=seq.degree_bound * 2 * cert.deg_phi,
-                          certificates=seq.certificates + (cert,),
-                          precision_bits=precision_bits)
     return _audited(seq, relation_bound)

@@ -10,6 +10,8 @@ certified off-circle when |w| > 2.  The witness roots delta, delta' and
 the Salem number eta come from the Pisot phase of E_n (roots.py), in O(1)
 work per root at any degree; scan_siegel_roots, which certifies every
 circle root of a dense phi, is the oracle the tests compare against.
+The pair data builds one branch per witness; the Siegel branch's
+psi = arccos(w/2) gives alpha, beta and their turns (theta/2 +/- psi)/2pi.
 Integrality of alpha and beta is certified by one exact norm,
 N(E_n(omega)) = Res(E_n, x^2+x+1) = 1, read from the sparse form of E_n.
 """
@@ -28,8 +30,8 @@ from .coxeter import (PISOT, PISOT_STAR, FormulaConsistencyError,
                       SalemFactorization, salem_factor)
 from .roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
                     Report, arccos_ball, circle_root_arguments, cos_ball,
-                    log_ball, phase_circle_root, phase_eta, phase_guess,
-                    pisot_phase, salem_eta, sqrt_ball, unit_exp_ball)
+                    log_ball, phase_circle_root, phase_eta, pisot_phase,
+                    salem_eta, sqrt_ball, unit_exp_ball)
 
 
 class PoleError(ValueError):
@@ -79,6 +81,7 @@ class Branch:
     a_of_delta: ComplexBall    # coefficient in x^2 + a(delta) x + delta^2
     classification: str        # "siegel" | "nonsiegel"
     ratio_abs: RealBall        # certified |alpha / beta|
+    arg_turns: Optional[tuple[RealBall, RealBall]]   # Siegel: arg / 2 pi
 
 
 def _w_interval(theta: RealBall, precision_bits: int) -> RealBall:
@@ -107,51 +110,47 @@ def _branch_class(w: RealBall) -> str:
                          "retry with higher precision")
 
 
-def eigenvalue_branches(delta: CircleRoot, precision_bits: int) -> list[Branch]:
-    """Both sign branches of t^2 - s t + delta = 0 with certified tags.
+def eigenvalue_branch(delta: CircleRoot, sign: int, precision_bits: int) -> Branch:
+    """The sign branch of t^2 - s t + delta = 0, tagged from one w.
 
-    alpha and beta are built from the argument representation, so Siegel
-    branches are on-circle by construction; non-Siegel branches carry a
-    certified |alpha/beta| != 1.
+    alpha and beta come from the argument representation: a Siegel branch
+    is on-circle by construction and carries the turns of theta/2 +/- psi;
+    a non-Siegel branch carries a certified |alpha/beta| != 1.
     """
     w = _w_interval(delta.theta, precision_bits)
     tag = _branch_class(w)
-    out = []
+    arg_turns = None
     with mp.workprec(precision_bits + GUARD_BITS):
         half_theta = RealBall(delta.theta.mid / 2, delta.theta.rad / 2)
         root_half = unit_exp_ball(half_theta, precision_bits)  # delta^(1/2)
-        for sign in (+1, -1):
-            ws = RealBall(sign * w.mid, w.rad)
-            s = _real_times_ball(ws, root_half, precision_bits)
-            if tag == "siegel":
-                # psi = arccos(w_s / 2); alpha, beta = e^(i(theta/2 +/- psi))
-                psi = arccos_ball(RealBall(ws.mid / 2, ws.rad / 2), precision_bits)
-                alpha = unit_exp_ball(half_theta + psi, precision_bits)
-                beta = unit_exp_ball(half_theta - psi, precision_bits)
-                ratio = RealBall(mp.mpf(1), alpha.radius + beta.radius)
-            else:
-                # u real with |u| > 1: u = (w_s + sgn(w_s) sqrt(w_s^2 - 4)) / 2
-                disc = sqrt_ball(ws * ws - 2 * 2, precision_bits)
-                sgn = 1 if ws.mid > 0 else -1
-                u = RealBall((ws.mid + sgn * disc.mid) / 2,
-                             (ws.rad + disc.rad) / 2 + mp.mpf(2) ** (-mp.mp.prec + 4))
-                alpha = _real_times_ball(u, root_half, precision_bits)
-                beta = root_half / _as_cb(u, precision_bits)
-                ratio = (u * u).abs_ball()
-            a_delta = 2 * delta.ball - s * s
-            out.append(Branch(branch_sign=sign, alpha=alpha, beta=beta, s=s,
-                              a_of_delta=a_delta, classification=tag,
-                              ratio_abs=ratio))
-    return out
+        ws = RealBall(sign * w.mid, w.rad)
+        s = ComplexBall(mp.mpc(ws.mid), ws.rad, precision_bits) * root_half
+        if tag == "siegel":
+            # psi = arccos(w_s / 2); alpha, beta = e^(i(theta/2 +/- psi))
+            psi = arccos_ball(RealBall(ws.mid / 2, ws.rad / 2), precision_bits)
+            up, down = half_theta + psi, half_theta - psi
+            alpha = unit_exp_ball(up, precision_bits)
+            beta = unit_exp_ball(down, precision_bits)
+            ratio = RealBall(mp.mpf(1), alpha.radius + beta.radius)
+            arg_turns = (_arg_turns(up, precision_bits),
+                         _arg_turns(down, precision_bits))
+        else:
+            # u real with |u| > 1: u = (w_s + sgn(w_s) sqrt(w_s^2 - 4)) / 2
+            disc = sqrt_ball(ws * ws - 2 * 2, precision_bits)
+            sgn = 1 if ws.mid > 0 else -1
+            u = RealBall((ws.mid + sgn * disc.mid) / 2,
+                         (ws.rad + disc.rad) / 2 + mp.mpf(2) ** (-mp.mp.prec + 4))
+            u_ball = ComplexBall(mp.mpc(u.mid), u.rad, precision_bits)
+            alpha, beta = u_ball * root_half, root_half / u_ball
+            ratio = (u * u).abs_ball()
+        return Branch(branch_sign=sign, alpha=alpha, beta=beta, s=s,
+                      a_of_delta=2 * delta.ball - s * s, classification=tag,
+                      ratio_abs=ratio, arg_turns=arg_turns)
 
 
-def _real_times_ball(r: RealBall, z: ComplexBall, prec: int) -> ComplexBall:
-    return _as_cb(r, prec) * z
-
-
-def _as_cb(r: RealBall, prec: int) -> ComplexBall:
-    with mp.workprec(prec + GUARD_BITS):
-        return ComplexBall(mp.mpc(r.mid), r.rad, prec)
+def eigenvalue_branches(delta: CircleRoot, precision_bits: int) -> list[Branch]:
+    """Both sign branches of t^2 - s t + delta = 0, +1 first."""
+    return [eigenvalue_branch(delta, sign, precision_bits) for sign in (+1, -1)]
 
 
 def _check_salem_shape(phi: IntPoly) -> int:
@@ -225,11 +224,12 @@ def witness_roots(fact: SalemFactorization, precision_bits: int
     """One certified Siegel and one certified non-Siegel circle root of
     the Salem factor phi of E_n, n = fact.n, with their scan indices.
 
-    Roots are visited by phase index j (phase_circle_root), skipping the
-    cyclotomic ones; a float |w| picks the candidates (< 1.98 Siegel,
-    > 2.02 non-Siegel) and the first whose certified class agrees is
-    returned.  The Siegel walk starts at j = 2; the non-Siegel walk at
-    the last root before |w| = 2.02.  Index = j - 1 - (cyclotomic roots
+    Roots are certified by phase index j (phase_circle_root), skipping
+    the cyclotomic ones; the midpoint of their w picks the candidates
+    (|w| < 1.98 Siegel, > 2.02 non-Siegel) and the first whose certified
+    class, read from the same w, agrees is returned.  The Siegel walk
+    starts at j = 2; the non-Siegel walk at the last root before
+    |w| = 2.02.  Index = j - 1 - (cyclotomic roots
     before it), the position among the roots of phi in (0, pi).
     """
     n = fact.n
@@ -241,13 +241,9 @@ def witness_roots(fact: SalemFactorization, precision_bits: int
         for j in range(max(first, 2), n // 2 + 1):
             if j in cyc:
                 continue
-            t = float(phase_guess(n, j))
-            den = 1.0 + 2.0 * math.cos(t)       # float |w| as in _w_interval
-            w = abs(2.0 * math.cos(t / 2.0) / den) if den else math.inf
-            if not preselect(w):
-                continue
             theta = phase_circle_root(n, j, precision_bits)
-            if _branch_class(_w_interval(theta, precision_bits)) == tag:
+            w = _w_interval(theta, precision_bits)
+            if preselect(abs(w.mid)) and _branch_class(w) == tag:
                 index = j - 1 - bisect_left(cyc, j)
                 return CircleRoot.from_theta(theta, precision_bits, index=index)
         raise NoSiegelRoot(f"no certified {tag} root found")
@@ -364,26 +360,15 @@ def _pair_data(fact: SalemFactorization, precision_bits: int,
     n = fact.n
     delta, delta_prime = witness_roots(fact, precision_bits)
 
-    branches = eigenvalue_branches(delta, precision_bits)
-    br = next(b for b in branches if b.branch_sign == branch_sign)
-    if br.classification != "siegel":
-        raise NoSiegelRoot("chosen delta lost Siegel certification at this precision")
-    branches_p = eigenvalue_branches(delta_prime, precision_bits)
-    brp = next(b for b in branches_p if b.branch_sign == branch_sign)
+    # one branch per witness; delta's is Siegel: witness_roots certified
+    # the same w at the same precision, and the class reads only |w|
+    br = eigenvalue_branch(delta, branch_sign, precision_bits)
+    brp = eigenvalue_branch(delta_prime, branch_sign, precision_bits)
 
     cert = integrality_certificate(n)
     if not cert.passed:
         raise IntegralityFailure(f"integrality certificate failed for n={n}")
     entropy = log_ball(phase_eta(n, precision_bits), precision_bits)
-
-    # argument bookkeeping: alpha = e^(i(theta/2 + psi)), beta = e^(i(theta/2 - psi))
-    w = _w_interval(delta.theta, precision_bits)
-    with mp.workprec(precision_bits + GUARD_BITS):
-        ws = RealBall(branch_sign * w.mid, w.rad)
-        psi = arccos_ball(RealBall(ws.mid / 2, ws.rad / 2), precision_bits)
-        half = RealBall(delta.theta.mid / 2, delta.theta.rad / 2)
-        alpha_arg = _arg_turns(half + psi, precision_bits)
-        beta_arg = _arg_turns(half - psi, precision_bits)
 
     return McMullenPairData(
         n=n, delta=delta, branch_sign=branch_sign,
@@ -391,6 +376,6 @@ def _pair_data(fact: SalemFactorization, precision_bits: int,
         siegel_root=True, delta_prime=delta_prime,
         alpha_prime=brp.alpha, beta_prime=brp.beta,
         entropy=entropy, certificate=cert, precision_bits=precision_bits,
-        alpha_arg_turns=alpha_arg, beta_arg_turns=beta_arg,
+        alpha_arg_turns=br.arg_turns[0], beta_arg_turns=br.arg_turns[1],
         ratio_prime=brp.ratio_abs,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -149,10 +150,7 @@ class IntPoly:
         return self.coeffs == tuple(reversed(self.coeffs))
 
     def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd_int(g, c)
-        return g
+        return math.gcd(*self.coeffs)
 
     def primitive_part(self) -> "IntPoly":
         g = self.content()
@@ -205,12 +203,6 @@ def poly(*ascending_coeffs: int) -> IntPoly:
 
 def monomial(k: int, c: int = 1) -> IntPoly:
     return IntPoly([0] * k + [c])
-
-
-def gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:

@@ -225,15 +225,6 @@ class ComplexBall:
     def __rtruediv__(self, other):
         return _as_ball(other, self.precision_bits) / self
 
-    def sqrt(self) -> "ComplexBall":
-        """Principal square root; the ball must avoid zero."""
-        with mp.workprec(self.precision_bits + GUARD_BITS):
-            inner = abs(self.mid) - self.radius
-            if inner <= 0:
-                raise ZeroDivisionError("sqrt of a ball containing zero")
-            rad = self.radius / (2 * mp.sqrt(inner))
-            return self._wrap(mp.sqrt(self.mid), rad)
-
     def conjugate(self) -> "ComplexBall":
         with mp.workprec(_auto_prec(self.mid)):
             return ComplexBall(mp.conj(self.mid), self.radius, self.precision_bits)
@@ -404,10 +395,6 @@ def _certify(p: IntPoly, zs, prec: int):
                 return None
             out.append(n * abs(_horner(p.coeffs, z) / dv))
     return out
-
-
-CLASSIFICATIONS = ("outside_circle", "inside_circle", "on_circle",
-                   "real_gt_1", "real_in_01", "unresolved")
 
 
 @dataclass(frozen=True)
@@ -770,13 +757,13 @@ def phase_eta(n: int, precision_bits: int) -> RealBall:
 # evaluate p densely; the tests compare the phase roots against them.
 
 
-def circle_root_brackets(p: IntPoly, expected: int | None = None
+def circle_root_brackets(p: IntPoly, expected: int
                          ) -> list[tuple[float, float]]:
     """Float brackets in (0, pi) where G changes sign, in increasing order.
 
-    The grid has 64m points.  With `expected`, a grid 4 times finer is
-    tried, five grids in all, until that many sign changes are found
-    (Salem candidates have m - 1 of them); IsolationError if they never are.
+    The grid has 64m points; a grid 4 times finer is tried, five grids in
+    all, until `expected` sign changes are found (Salem candidates have
+    m - 1 of them); IsolationError if they never are.
     """
     if p.degree % 2 != 0 or not p.is_reciprocal() or not p.is_monic():
         raise ValueError("circle scan expects a monic reciprocal even-degree input")
@@ -793,7 +780,7 @@ def circle_root_brackets(p: IntPoly, expected: int | None = None
         sign = np.sign(np.real(vals * np.exp(-1j * m * thetas)))
         idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
         brackets = [(thetas[i], thetas[i + 1]) for i in idx]
-        if expected is None or len(brackets) == expected:
+        if len(brackets) == expected:
             return brackets
         grid_factor *= 4
     raise IsolationError(
@@ -829,7 +816,7 @@ def circle_root(p: IntPoly, lo: float, hi: float,
 
 
 def circle_root_arguments(p: IntPoly, precision_bits: int,
-                          expected: int | None = None) -> list[RealBall]:
+                          expected: int) -> list[RealBall]:
     """Arguments theta in (0, pi) of the circle roots of reciprocal p,
     as disjoint certified real balls in increasing order; conjugate roots
     at -theta are implied.  `expected` is as in circle_root_brackets.

@@ -13,15 +13,15 @@ integer linear algebra on the arguments, mod 1.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
 import mpmath as mp
 
-from .mau import MAUSequence, RelationReport
-from .roots import GUARD_BITS, ComplexBall, RealBall, Report, unit_exp_ball
+from .mau import MAUSequence, RelationReport, _as_argument_ball, json_fields
+from .roots import GUARD_BITS, RealBall, Report
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -32,15 +32,6 @@ class FanError(ValueError):
 
 class IndependenceEvidenceMissing(RuntimeError):
     """Fixed-point enumeration refused: no certified independence audit."""
-
-
-def _gcd_all(xs) -> int:
-    g = 0
-    for x in xs:
-        while x:
-            g, x = x, g % x
-        g = abs(g)
-    return g
 
 
 def det_int(m) -> int:
@@ -105,7 +96,7 @@ class Cone:
         if any(len(row) != d for row in g):
             raise FanError("generator matrix must be square")
         for row in g:
-            if _gcd_all(row) != 1:
+            if math.gcd(*row) != 1:
                 raise FanError(f"non-primitive ray {row}")
 
     @property
@@ -125,8 +116,9 @@ class Fan:
     def from_json(cls, data) -> "Fan":
         if isinstance(data, str):
             data = json.loads(data)
-        cones = tuple(Cone(tuple(tuple(r) for r in c)) for c in data["max_cones"])
-        return cls(dim=int(data["dim"]), max_cones=cones)
+        dim, max_cones = json_fields(data, "fan data", "dim", "max_cones")
+        cones = tuple(Cone(tuple(tuple(r) for r in c)) for c in max_cones)
+        return cls(dim=int(dim), max_cones=cones)
 
     def to_json(self) -> dict:
         return {"dim": self.dim,
@@ -144,7 +136,11 @@ def load_fan(source) -> Fan:
     name = str(source)
     if os.path.exists(name):
         with open(name) as fh:
-            return Fan.from_json(json.load(fh))
+            data = json.load(fh)
+        try:
+            return Fan.from_json(data)
+        except ValueError as exc:
+            raise FanError(f"{name}: {exc}") from None
     stem = name[:-5] if name.endswith(".json") else name
     ref = resources.files("salemforge").joinpath("fans", stem + ".json")
     return Fan.from_json(json.loads(ref.read_text()))
@@ -287,21 +283,9 @@ class TorusElement(Report):
     @classmethod
     def explicit(cls, arguments, precision_bits: int = 256) -> "TorusElement":
         with mp.workprec(precision_bits + GUARD_BITS):
-            args = tuple(
-                a if isinstance(a, RealBall)
-                else RealBall(mp.mpf(a.numerator) / a.denominator, mp.mpf(0))
-                if isinstance(a, Fraction) else RealBall(mp.mpf(a), mp.mpf(0))
-                for a in arguments)
+            args = tuple(_as_argument_ball(a) for a in arguments)
         return cls(dim=len(args), arguments=args,
                    provenance=tuple("explicit" for _ in args))
-
-    def values(self, precision_bits: int) -> tuple[ComplexBall, ...]:
-        with mp.workprec(precision_bits + GUARD_BITS):
-            two_pi = 2 * mp.pi
-            return tuple(
-                unit_exp_ball(RealBall(a.mid * two_pi, a.rad * two_pi),
-                              precision_bits)
-                for a in self.arguments)
 
 
 @dataclass(frozen=True)

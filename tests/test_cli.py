@@ -187,6 +187,29 @@ def test_toric_fixed_points_from_sequence(seq_file):
     _assert_no_bare_floats(report)
 
 
+_SPEC = {"factors": [{"type": "mcmullen", "n": 19}], "mau": "SEQ"}
+
+
+@pytest.mark.parametrize("argv, content, key", [
+    (["toric", "check"], {"dim": 2}, "max_cones"),
+    (["product", "classify"], {"factors": _SPEC["factors"]}, "mau"),
+    (["product", "classify"], {**_SPEC, "factors": [{"type": "mcmullen"}]}, "n"),
+    (["mau", "audit"], [1, 2], "precision_bits"),
+    (["toric", "fixed-points", "plane", "--mau"], _SPEC, "precision_bits"),
+])
+def test_malformed_input_file_is_a_validation_error(argv, content, key,
+                                                    seq_file, tmp_path):
+    # "SEQ" stands for a well-formed sequence file
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content).replace('"SEQ"',
+                                                json.dumps(str(seq_file))))
+    res = run_cli(*argv, str(path))
+    assert res.returncode == 1 and not res.stderr, res.stderr
+    report = json.loads(res.stdout)
+    assert report["kind"] == "validation"
+    assert f"{path}: " in report["error"] and repr(key) in report["error"]
+
+
 def test_product_classify_without_integrality_certificate_exits_2(
         seq19_739, tmp_path):
     # the n = 19 pair relabelled as source 20, whose certificate fails

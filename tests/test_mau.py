@@ -308,6 +308,19 @@ def test_bare_mpf_arguments_keep_their_precision():
     assert rep.arguments[2].mid == c
 
 
+def test_fraction_arguments_keep_their_precision():
+    # 1/2 + 2^-60 rounded to 53 bits is 1/2, with the relation (2,)
+    x = Fraction(1, 2) + Fraction(1, 2**60)
+    rep = relation_search([x], 32, 256)
+    assert rep.outcome == "no_relation"
+    with mp.workprec(600):
+        arg = rep.arguments[0]
+        assert abs(arg.mid - mp.mpf(x.numerator) / x.denominator) <= arg.rad
+        third = relation_search([Fraction(1, 3)], 32, 256).arguments[0]
+        assert 0 < third.rad < mp.mpf(2) ** -256
+        assert abs(third.mid - mp.mpf(1) / 3) <= third.rad
+
+
 # -- sequence growth ----------------------------------------------------
 
 

@@ -19,7 +19,7 @@ from salemforge.roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
 from salemforge.coxeter import en_from_formula, salem_factor
 from salemforge.mau import mau_build
 from salemforge.product import build_product_spec, product_entropy
-from salemforge import coxeter, roots
+from salemforge import coxeter, mcmullen, roots
 
 TOL = mp.mpf(2) ** -100
 
@@ -286,10 +286,28 @@ def test_mcmullen_data_fields(data19):
     with mp.workprec(300):
         oracle = mp.mpf("0.276265276471051153650071446194313256961608122")
     assert abs(d.entropy.mid - oracle) < mp.mpf(2) ** -80
-    # argument bookkeeping: e^(2 pi i t) reproduces alpha
+    # argument bookkeeping: e^(2 pi i t) reproduces alpha and beta
     with mp.workprec(340):
-        z = mp.exp(2j * mp.pi * d.alpha_arg_turns.mid)
-        assert abs(z - d.alpha.mid) < mp.mpf(2) ** -200
+        for turns, value in ((d.alpha_arg_turns, d.alpha),
+                             (d.beta_arg_turns, d.beta)):
+            z = mp.exp(2j * mp.pi * turns.mid)
+            assert abs(z - value.mid) < mp.mpf(2) ** -200
+
+
+def test_pair_data_builds_one_branch_per_witness(monkeypatch):
+    built = []
+    original = mcmullen.eigenvalue_branch
+
+    def counted(delta, sign, precision_bits):
+        built.append(original(delta, sign, precision_bits))
+        return built[-1]
+
+    monkeypatch.setattr(mcmullen, "eigenvalue_branch", counted)
+    d = mcmullen_data(19, 256, branch_sign=-1)
+    assert [(b.branch_sign, b.classification) for b in built] == [
+        (-1, "siegel"), (-1, "nonsiegel")]
+    assert (d.alpha_arg_turns, d.beta_arg_turns) == built[0].arg_turns
+    assert built[1].arg_turns is None
 
 
 def test_eigenvalues_lie_on_salem_surface(phi14, data19):

@@ -145,6 +145,15 @@ def test_degenerate_identity_element_rejected():
         fixed_points(load_fan("plane"), te, audit)
 
 
+def test_explicit_fraction_arguments_cover_their_rounding():
+    te = TorusElement.explicit([Fraction(1, 3), Fraction(0)], 256)
+    third, zero = te.arguments
+    assert zero.mid == 0 and zero.rad == 0
+    with mp.workprec(600):
+        assert 0 < third.rad < mp.mpf(2) ** -256
+        assert abs(third.mid - mp.mpf(1) / 3) <= third.rad
+
+
 def test_eigenvalue_tuple_stays_independent():
     """Unimodular transport: random nonzero exponents never collapse."""
     te, audit = _independent_element(2)
