@@ -177,15 +177,17 @@ class RelationReport(Report):
     notes: tuple[str, ...] = _AUDIT_NOTES
 
     @classmethod
-    def from_json(cls, data: dict) -> "RelationReport":
-        prec = int(data["precision_bits"])
-        args = tuple(_ball_from_json(a, prec) for a in data["arguments"])
+    def from_json(cls, data: dict, source="relation audit") -> "RelationReport":
+        prec, raw, bound, outcome = json_fields(
+            data, source, "precision_bits", "arguments", "bound", "outcome")
+        prec = int(prec)
+        args = tuple(_ball_from_json(a, prec, source) for a in raw)
         res = data.get("residual")
-        return cls(arguments=args, bound=int(data["bound"]),
-                   precision_bits=prec, outcome=data["outcome"],
+        return cls(arguments=args, bound=int(bound),
+                   precision_bits=prec, outcome=outcome,
                    exponents=(tuple(data["exponents"])
                               if data.get("exponents") else None),
-                   residual=_ball_from_json(res, prec) if res else None,
+                   residual=_ball_from_json(res, prec, source) if res else None,
                    gap=data.get("gap"),
                    notes=tuple(data.get("notes", _AUDIT_NOTES)))
 
@@ -344,16 +346,18 @@ class MAUSequence(Report):
             fh.write("\n")
 
 
-def _ball_from_json(data: dict, prec: int) -> RealBall:
-    with mp.workprec(max(2 * prec, 4 * len(data["mid"])) + GUARD_BITS):
-        return RealBall(mp.mpf(data["mid"]), mp.mpf(data["radius"]))
+def _ball_from_json(data: dict, prec: int, source) -> RealBall:
+    mid, rad = json_fields(data, source, "mid", "radius")
+    with mp.workprec(max(2 * prec, 4 * len(mid)) + GUARD_BITS):
+        return RealBall(mp.mpf(mid), mp.mpf(rad))
 
 
-def _cball_from_json(data: dict) -> ComplexBall:
-    prec = int(data["precision_bits"])
-    with mp.workprec(max(2 * prec, 4 * len(data["re"])) + GUARD_BITS):
-        return ComplexBall(mp.mpc(mp.mpf(data["re"]), mp.mpf(data["im"])),
-                           mp.mpf(data["radius"]), prec)
+def _cball_from_json(data: dict, source) -> ComplexBall:
+    prec, re, im, rad = json_fields(data, source, "precision_bits", "re",
+                                    "im", "radius")
+    prec = int(prec)
+    with mp.workprec(max(2 * prec, 4 * len(re)) + GUARD_BITS):
+        return ComplexBall(mp.mpc(mp.mpf(re), mp.mpf(im)), mp.mpf(rad), prec)
 
 
 def json_fields(data, source, *keys) -> tuple:
@@ -379,10 +383,10 @@ def load_sequence(path) -> MAUSequence:
     for e in raw:
         value, turns, n, role = json_fields(e, path, "value", "argument_turns",
                                             "source_n", "role")
-        entries.append(MAUEntry(value=_cball_from_json(value),
-                                argument_turns=_ball_from_json(turns, prec),
+        entries.append(MAUEntry(value=_cball_from_json(value, path),
+                                argument_turns=_ball_from_json(turns, prec, path),
                                 source_n=int(n), role=role))
-    audit = (RelationReport.from_json(data["relation_audit"])
+    audit = (RelationReport.from_json(data["relation_audit"], path)
              if data.get("relation_audit") else None)
     return MAUSequence(entries=tuple(entries), degree_bound=int(bound),
                        certificates=(), relation_audit=audit,

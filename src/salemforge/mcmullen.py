@@ -8,9 +8,12 @@ gives the real quantity w = +/- 2cos(theta/2)/(1+2cos theta): the branch
 is Siegel exactly when |w| < 2 (both eigenvalues on the circle) and
 certified off-circle when |w| > 2.  The witness roots delta, delta' and
 the Salem number eta come from the Pisot phase of E_n (roots.py), in O(1)
-work per root at any degree; scan_siegel_roots, which certifies every
-circle root of a dense phi, is the oracle the tests compare against.
-The pair data builds one branch per witness; the Siegel branch's
+work per root at any degree: the float tail of the phase and the w of a
+float guess pick the candidates and their phase indices, and only the
+certified roots and their certified w are reported.  scan_siegel_roots,
+which certifies every circle root of a dense phi, is the oracle the tests
+compare against.  The pair data builds one branch per witness, from the
+w the witness holds; the Siegel branch's
 psi = arccos(w/2) gives alpha, beta and their turns (theta/2 +/- psi)/2pi.
 Integrality of alpha and beta is certified by one exact norm,
 N(E_n(omega)) = Res(E_n, x^2+x+1) = 1, read from the sparse form of E_n.
@@ -21,6 +24,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import mpmath as mp
@@ -30,8 +35,8 @@ from .coxeter import (PISOT, PISOT_STAR, FormulaConsistencyError,
                       SalemFactorization, salem_factor)
 from .roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
                     Report, arccos_ball, circle_root_arguments, cos_ball,
-                    log_ball, phase_circle_root, phase_eta, pisot_phase,
-                    salem_eta, sqrt_ball, unit_exp_ball)
+                    float_phase_guess, log_ball, phase_circle_root, phase_eta,
+                    phase_turns, salem_eta, sqrt_ball, unit_exp_ball)
 
 
 class PoleError(ValueError):
@@ -61,6 +66,12 @@ class CircleRoot:
     @classmethod
     def from_theta(cls, theta: RealBall, precision_bits: int, index: int) -> "CircleRoot":
         return cls(theta=theta, ball=unit_exp_ball(theta, precision_bits), index=index)
+
+    @cached_property
+    def w(self) -> RealBall:
+        """The branch discriminant at theta, at the ball's precision;
+        computed once per root."""
+        return _w_interval(self.theta, self.ball.precision_bits)
 
     def conjugate(self, precision_bits: int) -> "CircleRoot":
         with mp.workprec(precision_bits + GUARD_BITS):
@@ -96,7 +107,7 @@ def _w_interval(theta: RealBall, precision_bits: int) -> RealBall:
         lo_d, hi_d = den.lo, den.hi
         cands = [num.lo / lo_d, num.lo / hi_d, num.hi / lo_d, num.hi / hi_d]
         lo, hi = min(cands), max(cands)
-        return RealBall((lo + hi) / 2, (hi - lo) / 2 + mp.mpf(2) ** (-mp.mp.prec + 4))
+        return RealBall((lo + hi) / 2, (hi - lo) / 2 + mp.ldexp(1, -mp.mp.prec + 4))
 
 
 def _branch_class(w: RealBall) -> str:
@@ -115,9 +126,11 @@ def eigenvalue_branch(delta: CircleRoot, sign: int, precision_bits: int) -> Bran
 
     alpha and beta come from the argument representation: a Siegel branch
     is on-circle by construction and carries the turns of theta/2 +/- psi;
-    a non-Siegel branch carries a certified |alpha/beta| != 1.
+    a non-Siegel branch carries a certified |alpha/beta| != 1.  At the
+    root's own precision, w is the one the root already holds.
     """
-    w = _w_interval(delta.theta, precision_bits)
+    w = (delta.w if precision_bits == delta.ball.precision_bits
+         else _w_interval(delta.theta, precision_bits))
     tag = _branch_class(w)
     arg_turns = None
     with mp.workprec(precision_bits + GUARD_BITS):
@@ -139,7 +152,7 @@ def eigenvalue_branch(delta: CircleRoot, sign: int, precision_bits: int) -> Bran
             disc = sqrt_ball(ws * ws - 2 * 2, precision_bits)
             sgn = 1 if ws.mid > 0 else -1
             u = RealBall((ws.mid + sgn * disc.mid) / 2,
-                         (ws.rad + disc.rad) / 2 + mp.mpf(2) ** (-mp.mp.prec + 4))
+                         (ws.rad + disc.rad) / 2 + mp.ldexp(1, -mp.mp.prec + 4))
             u_ball = ComplexBall(mp.mpc(u.mid), u.rad, precision_bits)
             alpha, beta = u_ball * root_half, root_half / u_ball
             ratio = (u * u).abs_ball()
@@ -176,7 +189,7 @@ def scan_siegel_roots(phi: IntPoly, precision_bits: int = 256
     siegel, nonsiegel = [], []
     for i, th in enumerate(thetas):
         root = CircleRoot.from_theta(th, precision_bits, index=i + 1)
-        tag = _branch_class(_w_interval(th, precision_bits))
+        tag = _branch_class(root.w)
         bucket = siegel if tag == "siegel" else nonsiegel
         bucket.append(root)
         bucket.append(root.conjugate(precision_bits))
@@ -190,28 +203,32 @@ def scan_siegel_roots(phi: IntPoly, precision_bits: int = 256
 _NONSIEGEL_EDGE = 2.0 * math.acos((1.0 + math.sqrt(1.0 + 4 * 2.02 ** 2)) / (4 * 2.02))
 
 
+def _w_float(t: float) -> float:
+    """w at t in double precision: it steers the witness walk only."""
+    return 2 * math.cos(t / 2) / (1 + 2 * math.cos(t))
+
+
 def _cyclotomic_phases(fact: SalemFactorization) -> list[int]:
     """The phase indices j (h = 2 pi j) of the circle roots of the
     cyclotomic part of E_n in (0, pi), ascending.
 
     Each root 2 pi a / d must lie on its own whole turn of the phase, or
-    IsolationError: the split and the phase disagree.  The remaining
-    indices 2..n/2 then number deg phi / 2 - 1 by construction (the
-    degree is read from the same split and is even).
+    IsolationError: the split and the phase disagree.  The turn is read
+    from the float tail with (n - 1) a / d exact (roots.phase_turns).
+    The remaining indices 2..n/2 then number deg phi / 2 - 1 by
+    construction (the degree is read from the same split and is even).
     """
     n = fact.n
     out = []
-    with mp.workprec(64 + n.bit_length()):
-        for d, mult in fact.cyclotomic_part:
-            for a in range(1, (d + 1) // 2):
-                if math.gcd(a, d) != 1:
-                    continue
-                turns = pisot_phase(n, 2 * mp.pi * a / d)[0] / (2 * mp.pi)
-                j = int(mp.nint(turns))
-                if mult != 1 or abs(turns - j) > 0.25:
-                    raise IsolationError(f"Phi_{d}^{mult} does not match the "
-                                         f"phase of E_{n}")
-                out.append(j)
+    for d, mult in fact.cyclotomic_part:
+        for a in range(1, (d + 1) // 2):
+            if math.gcd(a, d) != 1:
+                continue
+            k, x = phase_turns(n, Fraction(a, d))
+            if mult != 1 or abs(x - round(x)) > 0.25:
+                raise IsolationError(f"Phi_{d}^{mult} does not match the "
+                                     f"phase of E_{n}")
+            out.append(k + round(x))
     out.sort()
     if len(set(out)) != len(out):
         raise IsolationError(f"the circle roots of E_{n} do not split as "
@@ -219,37 +236,42 @@ def _cyclotomic_phases(fact: SalemFactorization) -> list[int]:
     return out
 
 
+def _nonsiegel_edge(n: int) -> int:
+    """The phase index of the last circle root of E_n before |w| = 2.02."""
+    with mp.workprec(64 + n.bit_length()):
+        k, x = phase_turns(n, mp.mpf(_NONSIEGEL_EDGE) / (2 * mp.pi))
+    return k + math.floor(x)
+
+
 def witness_roots(fact: SalemFactorization, precision_bits: int
                   ) -> tuple[CircleRoot, CircleRoot]:
     """One certified Siegel and one certified non-Siegel circle root of
     the Salem factor phi of E_n, n = fact.n, with their scan indices.
 
-    Roots are certified by phase index j (phase_circle_root), skipping
-    the cyclotomic ones; the midpoint of their w picks the candidates
-    (|w| < 1.98 Siegel, > 2.02 non-Siegel) and the first whose certified
-    class, read from the same w, agrees is returned.  The Siegel walk
-    starts at j = 2; the non-Siegel walk at the last root before
-    |w| = 2.02.  Index = j - 1 - (cyclotomic roots
-    before it), the position among the roots of phi in (0, pi).
+    Candidates go by phase index j, skipping the cyclotomic ones; the w
+    of the float guess of theta_j preselects them (|w| < 1.98 Siegel,
+    > 2.02 non-Siegel), and only those are certified (phase_circle_root).
+    The first whose class, read from its certified w, agrees is returned,
+    holding that w.  The Siegel walk starts at j = 2; the non-Siegel walk
+    at the last root before |w| = 2.02.  Index = j - 1 - (cyclotomic
+    roots before it), the position among the roots of phi in (0, pi).
     """
     n = fact.n
     cyc = _cyclotomic_phases(fact)
-    with mp.workprec(64 + n.bit_length()):
-        edge = int(pisot_phase(n, mp.mpf(_NONSIEGEL_EDGE))[0] / (2 * mp.pi))
 
     def witness(tag: str, first: int, preselect) -> CircleRoot:
         for j in range(max(first, 2), n // 2 + 1):
-            if j in cyc:
+            if j in cyc or not preselect(abs(_w_float(float_phase_guess(n, j)))):
                 continue
-            theta = phase_circle_root(n, j, precision_bits)
-            w = _w_interval(theta, precision_bits)
-            if preselect(abs(w.mid)) and _branch_class(w) == tag:
-                index = j - 1 - bisect_left(cyc, j)
-                return CircleRoot.from_theta(theta, precision_bits, index=index)
+            root = CircleRoot.from_theta(phase_circle_root(n, j, precision_bits),
+                                         precision_bits,
+                                         index=j - 1 - bisect_left(cyc, j))
+            if _branch_class(root.w) == tag:
+                return root
         raise NoSiegelRoot(f"no certified {tag} root found")
 
     return (witness("siegel", 2, lambda w: w < 1.98),
-            witness("nonsiegel", edge, lambda w: w > 2.02))
+            witness("nonsiegel", _nonsiegel_edge(n), lambda w: w > 2.02))
 
 
 # -- exact integrality certificate --------------------------------------
@@ -336,7 +358,7 @@ def _arg_turns(theta_component: RealBall, precision_bits: int) -> RealBall:
         t = theta_component.mid / (2 * mp.pi)
         t = t - mp.floor(t)
         return RealBall(t, theta_component.rad / (2 * mp.pi)
-                        + mp.mpf(2) ** (-mp.mp.prec + 4))
+                        + mp.ldexp(1, -mp.mp.prec + 4))
 
 
 def mcmullen_data(n: int, precision_bits: int = 256,
@@ -360,8 +382,8 @@ def _pair_data(fact: SalemFactorization, precision_bits: int,
     n = fact.n
     delta, delta_prime = witness_roots(fact, precision_bits)
 
-    # one branch per witness; delta's is Siegel: witness_roots certified
-    # the same w at the same precision, and the class reads only |w|
+    # one branch per witness, from the w each witness holds; delta's is
+    # Siegel: witness_roots certified that w, and the class reads only |w|
     br = eigenvalue_branch(delta, branch_sign, precision_bits)
     brp = eigenvalue_branch(delta_prime, branch_sign, precision_bits)
 

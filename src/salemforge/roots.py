@@ -13,6 +13,13 @@ by three sines at exact points; phase_eta gives the Salem number eta in
 n >= 10, the root pattern behind them (n - 2 simple circle roots and one
 real root in (1, rho)).  No dense polynomial is evaluated on these paths.
 
+The phase work runs in two stages.  A double-precision stage steers:
+phase_tail is the bounded part G of the phase in floats, which gives the
+starting guesses (phase_guess, float_phase_guess), the phase index of a
+point (phase_turns) and the float bracket of eta, while the term (n - 1)t
+stays exact or in mpmath.  No label or ball comes from it: every
+reported root is certified afterwards by sign_change_root.
+
 Two independent oracles stay for the tests and are kept off the
 production paths.  The dense oracle works on any monic reciprocal
 polynomial: circle_root_brackets (a float scan of
@@ -28,7 +35,10 @@ circle is tagged "unresolved".
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, fields
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -48,7 +58,7 @@ class NotSalemError(RuntimeError):
 
 def _ulp(prec: int, *vals) -> mp.mpf:
     scale = max([mp.mpf(1)] + [abs(v) for v in vals])
-    return scale * mp.mpf(2) ** (-prec + 4)
+    return mp.ldexp(scale, -prec + 4)
 
 
 def _mantissa_bits(v) -> int:
@@ -624,6 +634,16 @@ def sign_change_root(newton_step, value_ball, lo: float, hi: float,
 # 1 + rho + 1/rho, 1 - rho + 1/rho and 1 - 1/rho, all positive: q never
 # crosses the negative real axis, so both principal arguments are
 # continuous on [0, pi].  (A principal arg of P itself would jump there.)
+#
+# So h(t) = (n - 1)t + 2 pi + G(t) with the tail
+#   G(t) = 2 atan2(-sin t, rho - cos t) + 2 Arg q,   |G| < 4 pi,
+# the same for every n.  G in double precision is good to about 2^-50;
+# (n - 1)t is not, since it magnifies the rounding of t by n, so it is
+# kept exact (a Fraction) or in mpmath at 64 + log2(n) bits.  The float
+# tail steers: it finds the guesses and reads phase indices, and the
+# roots it leads to are certified afterwards.
+
+_RHO = 1.324717957244746             # rho rounded to double precision
 
 
 def _plastic() -> mp.mpf:
@@ -644,29 +664,78 @@ def pisot_phase(n: int, t) -> tuple[mp.mpf, mp.mpf]:
     return h, dh
 
 
-def phase_guess(n: int, j: int) -> mp.mpf:
-    """theta_j, the t in (0, pi) with h(t) = 2 pi j, to about 2^-60.
+def phase_tail(t: float) -> tuple[float, float]:
+    """The tail G(t) = h(t) - (n - 1)t - 2 pi and G'(t), 0 <= t <= pi, in
+    double precision; G does not depend on n."""
+    c, s = math.cos(t), math.sin(t)
+    q = complex(1 + _RHO * c + (2 * c * c - 1) / _RHO,
+                -s * (_RHO + 2 * c / _RHO))
+    z = complex(c, s)
+    return (2 * math.atan2(-s, _RHO - c) + 2 * cmath.phase(q),
+            -4 + 2 * (z * (3 * z * z - 1) / (z ** 3 - z - 1)).real)
 
-    Newton on h, kept inside a bisection bracket, at 64 + log2(n) bits:
-    (n - 1)t magnifies the rounding of t by n.
+
+def phase_turns(n: int, turns) -> tuple[int, float]:
+    """h(2 pi turns) / 2 pi as an integer part k and a float x, |x| < 4.
+
+    (n - 1) turns is exact for a Fraction and taken at the working
+    precision for an mpf (64 + log2(n) bits keep it to 2^-60); only the
+    tail is a float.
+    """
+    if isinstance(turns, Fraction):
+        k, rest = divmod((n - 1) * turns, 1)
+    else:
+        lin = (n - 1) * turns
+        k = int(mp.floor(lin))
+        rest = lin - k
+    return k, float(rest) + 1 + phase_tail(2 * math.pi * float(turns))[0] / (2 * math.pi)
+
+
+def _phase_start(n: int, j: int) -> tuple[mp.mpf, float]:
+    """(t0, u) with theta_j = t0 + u to double precision in u.
+
+    t0 = 2 pi (j - 1)/(n - 1) at 64 + log2(n) bits; u solves
+    (n - 1)u + G(t0 + u) = 0 by float Newton kept inside [-t0, pi - t0].
     """
     if n < 10 or not 2 <= j <= n // 2:
         raise ValueError(f"no circle root of E_{n} in (0, pi) with phase index {j}")
     with mp.workprec(64 + n.bit_length()):
-        target = 2 * mp.pi * j
-        lo, hi = mp.mpf(0), +mp.pi
-        t, tol = (target - 2 * mp.pi) / (n - 1), mp.ldexp(1, -60)
-        for _ in range(200):
-            h, dh = pisot_phase(n, t)
-            if h < target:
-                lo = t
-            else:
-                hi = t
-            nxt = t - (h - target) / dh
-            if abs(nxt - t) < tol:
-                return nxt
-            t = nxt if lo < nxt < hi else (lo + hi) / 2
-        raise IsolationError(f"phase Newton did not converge at n={n}, j={j}")
+        t0 = 2 * mp.pi * (j - 1) / (n - 1)
+    t0f = float(t0)
+    lo, hi, u = -t0f, math.pi - t0f, 0.0
+    tol = 2.0 ** -40 / (n - 1)        # the float noise in u is about 2^-50 / n
+    for _ in range(100):
+        g, dg = phase_tail(t0f + u)
+        f = (n - 1) * u + g
+        if f < 0:
+            lo = u
+        else:
+            hi = u
+        nxt = u - f / (n - 1 + dg)
+        if abs(nxt - u) < tol:
+            return t0, nxt
+        u = nxt if lo < nxt < hi else (lo + hi) / 2
+    raise IsolationError(f"phase Newton did not converge at n={n}, j={j}")
+
+
+def float_phase_guess(n: int, j: int) -> float:
+    """theta_j in double precision, from the float tail alone."""
+    t0, u = _phase_start(n, j)
+    return float(t0) + u
+
+
+def phase_guess(n: int, j: int) -> mp.mpf:
+    """theta_j, the t in (0, pi) with h(t) = 2 pi j, to about 2^-60.
+
+    The float start of _phase_start, good to about 2^-50 / n, then one
+    Newton step on pisot_phase at 64 + log2(n) bits: (n - 1)t magnifies
+    the rounding of t by n.
+    """
+    t0, u = _phase_start(n, j)
+    with mp.workprec(64 + n.bit_length()):
+        t = t0 + u
+        h, dh = pisot_phase(n, t)
+        return t - (h - 2 * mp.pi * j) / dh
 
 
 def phase_circle_root(n: int, j: int, precision_bits: int) -> RealBall:
@@ -700,8 +769,9 @@ def phase_circle_root(n: int, j: int, precision_bits: int) -> RealBall:
     with mp.workprec(64 + n.bit_length()):
         # the certified root is theta_j: its phase is 2 pi j, to far better
         # than the quarter turn allowed here
-        if abs(pisot_phase(n, theta.mid)[0] / (2 * mp.pi) - j) > 0.25:
-            raise IsolationError(f"Newton left circle root {j} of E_{n}")
+        k, x = phase_turns(n, theta.mid / (2 * mp.pi))
+    if abs(k - j + x) > 0.25:
+        raise IsolationError(f"Newton left circle root {j} of E_{n}")
     return theta
 
 
@@ -709,8 +779,9 @@ def phase_eta(n: int, precision_bits: int) -> RealBall:
     """eta, the real root of E_n in (1, rho), certified by a sign change.
 
     Newton runs on g(x) = P(x) - P*(x) x^(2-n), which has the sign of
-    S(x) and no x^n growth; g is enclosed by eval_ball of P and P* and by
-    x^(2-n) rounded down and up.
+    S(x) and no x^n growth, from a float bisection of g to about 2^-44;
+    g is enclosed by eval_ball of P and P* and by x^(2-n) rounded down
+    and up.
     """
     if n < 10:
         raise ValueError("n must be >= 10")
@@ -719,12 +790,15 @@ def phase_eta(n: int, precision_bits: int) -> RealBall:
         return x ** 3 - x - 1 - (1 - x * x - x ** 3) * x ** (2 - n)
 
     lo, hi = 1.0 + 2.0 ** -16, 1.33          # g(lo) ~ (9 - n) 2^-16 < 0 < g(hi)
-    while hi - lo > 2.0 ** -20:
+    while hi - lo > 2.0 ** -44:
         mid = (lo + hi) / 2
         if g(mid) < 0:
             lo = mid
         else:
             hi = mid
+    # float g is good to about 2^-50 near eta (g' > 1 there): the widened
+    # bracket holds eta whatever the sign of the rounding
+    lo, hi = lo - 2.0 ** -44, hi + 2.0 ** -44
     dp, dq = PISOT.derivative(), PISOT_STAR.derivative()
 
     def newton_step(x):

@@ -196,6 +196,12 @@ _SPEC = {"factors": [{"type": "mcmullen", "n": 19}], "mau": "SEQ"}
     (["product", "classify"], {**_SPEC, "factors": [{"type": "mcmullen"}]}, "n"),
     (["mau", "audit"], [1, 2], "precision_bits"),
     (["toric", "fixed-points", "plane", "--mau"], _SPEC, "precision_bits"),
+    # nested ball and audit objects that lack a key
+    (["mau", "audit"], {"precision_bits": 512, "degree_bound": 1, "entries": [
+        {"value": {}, "argument_turns": {}, "source_n": 19, "role": "alpha"}]},
+     "precision_bits"),
+    (["mau", "audit"], {"precision_bits": 512, "degree_bound": 1, "entries": [],
+                        "relation_audit": {"outcome": "x"}}, "precision_bits"),
 ])
 def test_malformed_input_file_is_a_validation_error(argv, content, key,
                                                     seq_file, tmp_path):

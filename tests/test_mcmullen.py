@@ -1,6 +1,8 @@
 """Eigenvalue pairs at Siegel points and exact integrality certificates."""
 
+import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import replace
 
 import mpmath as mp
@@ -10,12 +12,13 @@ from salemforge.mcmullen import (CircleRoot, NoSiegelRoot, PoleError,
                                  eigenvalue_branches, integrality_certificate,
                                  mcmullen_data, scan_siegel_roots,
                                  witness_roots, _branch_class,
-                                 _cyclotomic_phases, _w_interval)
+                                 _cyclotomic_phases, _nonsiegel_edge,
+                                 _w_interval, _NONSIEGEL_EDGE)
 from salemforge.roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
                               circle_root, circle_root_arguments,
                               circle_root_brackets, eval_ball, isolate_roots,
-                              phase_circle_root, phase_eta, salem_eta,
-                              unit_exp_ball)
+                              phase_circle_root, phase_eta, pisot_phase,
+                              salem_eta, unit_exp_ball)
 from salemforge.coxeter import en_from_formula, salem_factor
 from salemforge.mau import mau_build
 from salemforge.product import build_product_spec, product_entropy
@@ -105,6 +108,58 @@ def test_witness_roots_demand_a_consistent_split():
     fact25 = salem_factor(25)
     with pytest.raises(IsolationError):
         witness_roots(replace(fact25, cyclotomic_part=((2, 1), (5, 1))), 128)
+
+
+def _mp_cyclotomic_phases(fact):
+    """The phase index of each cyclotomic circle root in (0, pi), read
+    from the multiprecision phase: the reference for the float tail."""
+    n, out = fact.n, []
+    with mp.workprec(64 + n.bit_length()):
+        for d, mult in fact.cyclotomic_part:
+            for a in range(1, (d + 1) // 2):
+                if math.gcd(a, d) == 1:
+                    turns = pisot_phase(n, 2 * mp.pi * a / d)[0] / (2 * mp.pi)
+                    j = int(mp.nint(turns))
+                    assert mult == 1 and abs(turns - j) <= 0.25
+                    out.append(j)
+    return sorted(out)
+
+
+def _mp_nonsiegel_edge(n):
+    with mp.workprec(64 + n.bit_length()):
+        return int(pisot_phase(n, mp.mpf(_NONSIEGEL_EDGE))[0] / (2 * mp.pi))
+
+
+def test_float_phase_indices_equal_the_multiprecision_ones():
+    for n in range(13, 2001, 6):
+        fact = salem_factor(n)
+        assert _cyclotomic_phases(fact) == _mp_cyclotomic_phases(fact), n
+        assert _nonsiegel_edge(n) == _mp_nonsiegel_edge(n), n
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_steering_evaluates_no_spare_multiprecision_phase(monkeypatch, sign):
+    """The float stage picks the candidates: each certified root costs one
+    multiprecision phase, two roots are certified, one w per witness."""
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (roots, mcmullen):
+        if hasattr(module, "pisot_phase"):
+            count(module, "pisot_phase")
+    count(mcmullen, "phase_circle_root")
+    count(mcmullen, "_w_interval")
+    assert mcmullen_data(43, 256, sign).siegel_root
+    assert calls["phase_circle_root"] == 2
+    assert calls["pisot_phase"] <= calls["phase_circle_root"]
+    assert calls["_w_interval"] == 2
 
 
 @pytest.mark.parametrize("n", range(13, 134, 6))

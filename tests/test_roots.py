@@ -8,8 +8,9 @@ from salemforge.roots import (ComplexBall, NotSalemError, RealBall,
                               _classify_tags, circle_root_arguments,
                               classify_salem, entropy_from_charpoly, eval_ball,
                               isolate_roots, log_ball, phase_circle_root,
-                              phase_eta, phase_guess, pisot_phase, salem_eta,
-                              sin_ball, unit_circle_distance, yun_squarefree)
+                              phase_eta, phase_guess, phase_tail, pisot_phase,
+                              salem_eta, sin_ball, unit_circle_distance,
+                              yun_squarefree)
 from salemforge.coxeter import en_from_formula, salem_factor
 
 PHI_14 = IntPoly([1, -1, 0, -1, 1, 0, 0, -1, 0, 0, 1, -1, 0, -1, 1])
@@ -193,6 +194,31 @@ def test_no_root_at_theta_zero_or_past_pi():
     assert first.lo > 0.3
     with mp.workprec(100):
         assert abs(pisot_phase(19, phase_guess(19, 2))[0] - 4 * mp.pi) < 2 ** -50
+
+
+PHASE_NS = (13, 19, 43, 739, 3259, 19_107_739, 730_201_596_227_659)
+
+
+@pytest.mark.parametrize("n", PHASE_NS)
+def test_float_tail_agrees_with_the_multiprecision_phase(n):
+    """(n - 1)t + 2 pi + G(t), with (n - 1)t in mpmath and G in floats,
+    is h(t) to 2^-40 on a grid of [0, pi], at every n."""
+    with mp.workprec(64 + n.bit_length() + 40):
+        for i in range(129):
+            t = float(mp.pi * i / 128)
+            g, dg = phase_tail(t)
+            h, dh = pisot_phase(n, mp.mpf(t))
+            assert abs((n - 1) * mp.mpf(t) + 2 * mp.pi + g - h) < mp.mpf(2) ** -40
+            assert abs(dg - (dh - (n - 1))) < mp.mpf(2) ** -40
+
+
+def test_phase_guess_is_good_to_2_to_minus_55():
+    # the float start plus one multiprecision Newton step, across n and j
+    for n in range(13, 2001, 6):
+        for j in sorted({2, n // 3, n // 2}):
+            with mp.workprec(64 + n.bit_length() + 40):
+                h = pisot_phase(n, phase_guess(n, j))[0]
+                assert abs(h - 2 * mp.pi * j) < mp.mpf(2) ** -55, (n, j)
 
 
 def test_phase_eta_matches_isolation():
