@@ -177,7 +177,7 @@ class RelationReport(Report):
     notes: tuple[str, ...] = _AUDIT_NOTES
 
     @classmethod
-    def from_json(cls, data: dict, source="relation audit") -> "RelationReport":
+    def from_json(cls, data: dict, source) -> "RelationReport":
         prec, raw, bound, outcome = json_fields(
             data, source, "precision_bits", "arguments", "bound", "outcome")
         prec = int(prec)

@@ -121,16 +121,16 @@ def _branch_class(w: RealBall) -> str:
                          "retry with higher precision")
 
 
-def eigenvalue_branch(delta: CircleRoot, sign: int, precision_bits: int) -> Branch:
-    """The sign branch of t^2 - s t + delta = 0, tagged from one w.
+def eigenvalue_branch(delta: CircleRoot, sign: int) -> Branch:
+    """The sign branch of t^2 - s t + delta = 0 at delta's precision,
+    tagged from the w that delta holds.
 
     alpha and beta come from the argument representation: a Siegel branch
     is on-circle by construction and carries the turns of theta/2 +/- psi;
-    a non-Siegel branch carries a certified |alpha/beta| != 1.  At the
-    root's own precision, w is the one the root already holds.
+    a non-Siegel branch carries a certified |alpha/beta| != 1.
     """
-    w = (delta.w if precision_bits == delta.ball.precision_bits
-         else _w_interval(delta.theta, precision_bits))
+    precision_bits = delta.ball.precision_bits
+    w = delta.w
     tag = _branch_class(w)
     arg_turns = None
     with mp.workprec(precision_bits + GUARD_BITS):
@@ -161,9 +161,9 @@ def eigenvalue_branch(delta: CircleRoot, sign: int, precision_bits: int) -> Bran
                       ratio_abs=ratio, arg_turns=arg_turns)
 
 
-def eigenvalue_branches(delta: CircleRoot, precision_bits: int) -> list[Branch]:
+def eigenvalue_branches(delta: CircleRoot) -> list[Branch]:
     """Both sign branches of t^2 - s t + delta = 0, +1 first."""
-    return [eigenvalue_branch(delta, sign, precision_bits) for sign in (+1, -1)]
+    return [eigenvalue_branch(delta, sign) for sign in (+1, -1)]
 
 
 def _check_salem_shape(phi: IntPoly) -> int:
@@ -384,8 +384,8 @@ def _pair_data(fact: SalemFactorization, precision_bits: int,
 
     # one branch per witness, from the w each witness holds; delta's is
     # Siegel: witness_roots certified that w, and the class reads only |w|
-    br = eigenvalue_branch(delta, branch_sign, precision_bits)
-    brp = eigenvalue_branch(delta_prime, branch_sign, precision_bits)
+    br = eigenvalue_branch(delta, branch_sign)
+    brp = eigenvalue_branch(delta_prime, branch_sign)
 
     cert = integrality_certificate(n)
     if not cert.passed:

@@ -775,17 +775,16 @@ def phase_circle_root(n: int, j: int, precision_bits: int) -> RealBall:
     return theta
 
 
-def phase_eta(n: int, precision_bits: int) -> RealBall:
-    """eta, the real root of E_n in (1, rho), certified by a sign change.
+def _eta_bracket(n: int) -> tuple[float, float]:
+    """A float bracket of eta about 3 * 2^-44 wide: g(x) = P(x) - P*(x)
+    x^(2-n), which has the sign of S(x) and no x^n growth, bisected in
+    double precision and widened by 2^-44 on each side.
 
-    Newton runs on g(x) = P(x) - P*(x) x^(2-n), which has the sign of
-    S(x) and no x^n growth, from a float bisection of g to about 2^-44;
-    g is enclosed by eval_ball of P and P* and by x^(2-n) rounded down
-    and up.
+    Near eta both terms of g are below 0.6 and each takes a few roundings,
+    so float g is off by less than 2^-49; with g' >= 1.19 at eta for every
+    n >= 10, a misread sign moves the bracket by less than 2^-49, well
+    inside the widening.
     """
-    if n < 10:
-        raise ValueError("n must be >= 10")
-
     def g(x: float) -> float:
         return x ** 3 - x - 1 - (1 - x * x - x ** 3) * x ** (2 - n)
 
@@ -796,9 +795,19 @@ def phase_eta(n: int, precision_bits: int) -> RealBall:
             lo = mid
         else:
             hi = mid
-    # float g is good to about 2^-50 near eta (g' > 1 there): the widened
-    # bracket holds eta whatever the sign of the rounding
-    lo, hi = lo - 2.0 ** -44, hi + 2.0 ** -44
+    return lo - 2.0 ** -44, hi + 2.0 ** -44
+
+
+def phase_eta(n: int, precision_bits: int) -> RealBall:
+    """eta, the real root of E_n in (1, rho), certified by a sign change.
+
+    Newton runs on g(x) = P(x) - P*(x) x^(2-n) from the float bracket of
+    _eta_bracket; g is enclosed by eval_ball of P and P* and by x^(2-n)
+    rounded down and up.
+    """
+    if n < 10:
+        raise ValueError("n must be >= 10")
+    lo, hi = _eta_bracket(n)
     dp, dq = PISOT.derivative(), PISOT_STAR.derivative()
 
     def newton_step(x):

@@ -85,7 +85,7 @@ def test_06_branch_consistency_at_every_circle_root():
     for root in siegel + nonsiegel:
         if root.index < 0:
             continue
-        for br in eigenvalue_branches(root, 256):
+        for br in eigenvalue_branches(root):
             vieta = br.alpha * br.beta - root.ball
             assert vieta.abs_ball().hi < tol
             a2 = br.alpha * br.alpha

@@ -266,7 +266,7 @@ def test_precision_too_low_for_coarse_arguments():
 
 def test_relation_report_round_trip():
     r = relation_search([Fraction(1, 3), Fraction(1, 6)], 32, 256)
-    again = RelationReport.from_json(r.to_json())
+    again = RelationReport.from_json(r.to_json(), "round trip")
     assert again.outcome == r.outcome and again.exponents == r.exponents
 
 

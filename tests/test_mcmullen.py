@@ -63,7 +63,7 @@ def test_vieta_and_quadratic_residuals_all_roots(phi14, data19):
     for root in siegel + nonsiegel:
         if root.index < 0:
             continue
-        for br in eigenvalue_branches(root, 256):
+        for br in eigenvalue_branches(root):
             assert _residual(br.alpha * br.beta - root.ball) < TOL
             assert _residual(br.alpha + br.beta - br.s) < TOL
             a2 = br.alpha * br.alpha
@@ -80,7 +80,7 @@ def test_eigenvalues_are_roots_of_the_quadratic(data19):
 def test_branch_signs_disagree_in_s(phi14):
     siegel, _ = scan_siegel_roots(phi14, 256)
     root = next(r for r in siegel if r.index > 0)
-    b1, b2 = eigenvalue_branches(root, 256)
+    b1, b2 = eigenvalue_branches(root)
     assert {b1.branch_sign, b2.branch_sign} == {1, -1}
     assert _residual(b1.s + b2.s) < TOL          # s flips sign with the branch
 
@@ -88,15 +88,15 @@ def test_branch_signs_disagree_in_s(phi14):
 def test_nonsiegel_ratio_separated_from_one(phi14):
     _, nonsiegel = scan_siegel_roots(phi14, 256)
     root = next(r for r in nonsiegel if r.index > 0)
-    br = eigenvalue_branches(root, 256)[0]
+    br = eigenvalue_branches(root)[0]
     assert br.classification == "nonsiegel"
     assert br.ratio_abs.lo > 1 or br.ratio_abs.hi < 1
 
 
 def test_witness_roots_agrees_with_scan(phi14):
     s, ns = witness_roots(salem_factor(19), 256)
-    assert eigenvalue_branches(s, 256)[0].classification == "siegel"
-    assert eigenvalue_branches(ns, 256)[0].classification == "nonsiegel"
+    assert eigenvalue_branches(s)[0].classification == "siegel"
+    assert eigenvalue_branches(ns)[0].classification == "nonsiegel"
     # the witnesses keep their scan positions
     siegel, nonsiegel = scan_siegel_roots(phi14, 256)
     assert (s.index, ns.index) == (siegel[0].index, nonsiegel[0].index) == (1, 4)
@@ -353,8 +353,8 @@ def test_pair_data_builds_one_branch_per_witness(monkeypatch):
     built = []
     original = mcmullen.eigenvalue_branch
 
-    def counted(delta, sign, precision_bits):
-        built.append(original(delta, sign, precision_bits))
+    def counted(delta, sign):
+        built.append(original(delta, sign))
         return built[-1]
 
     monkeypatch.setattr(mcmullen, "eigenvalue_branch", counted)

@@ -5,7 +5,8 @@ import pytest
 
 from salemforge.polyring import IntPoly, poly, monomial, ONE
 from salemforge.roots import (ComplexBall, NotSalemError, RealBall,
-                              _classify_tags, circle_root_arguments,
+                              _classify_tags, _eta_bracket,
+                              circle_root_arguments,
                               classify_salem, entropy_from_charpoly, eval_ball,
                               isolate_roots, log_ball, phase_circle_root,
                               phase_eta, phase_guess, phase_tail, pisot_phase,
@@ -219,6 +220,16 @@ def test_phase_guess_is_good_to_2_to_minus_55():
             with mp.workprec(64 + n.bit_length() + 40):
                 h = pisot_phase(n, phase_guess(n, j))[0]
                 assert abs(h - 2 * mp.pi * j) < mp.mpf(2) ** -55, (n, j)
+
+
+def test_phase_eta_stays_inside_its_float_bracket():
+    """The certified eta lies in the float bracket with at least half of
+    the 2^-44 widening to spare, down to n = 10, where g cancels most."""
+    margin = mp.mpf(2) ** -45
+    for n in [10, 11, 12, *range(13, 2001, 6), 19_107_739, 730_201_596_227_659]:
+        lo, hi = _eta_bracket(n)
+        eta = phase_eta(n, 128)
+        assert lo + margin < eta.lo and eta.hi < hi - margin, n
 
 
 def test_phase_eta_matches_isolation():
