@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+from typing import Optional
 
 import click
 
@@ -32,13 +33,6 @@ EXIT_INVALID = 1
 EXIT_INCONSISTENT = 2
 EXIT_USAGE = 64
 
-_VALIDATION_ERRORS = (ValueError, PrecisionTooLow, IndependenceEvidenceMissing,
-                      FileNotFoundError)
-_CONSISTENCY_ERRORS = (FormulaConsistencyError, StructureError,
-                       DegreeCertificateFailure, WitnessFailure,
-                       IndependenceFalsified, NotSalemError, IsolationError,
-                       NoSiegelRoot, IntegralityFailure)
-
 
 class ConsistencyFailure(RuntimeError):
     """An internal cross-check failed; the report is attached."""
@@ -48,12 +42,23 @@ class ConsistencyFailure(RuntimeError):
         self.report = report
 
 
-def _run_config(precision: int, bound: int, out) -> dict:
-    return {"precision_bits": precision, "relation_bound": bound,
-            "output": out or "stdout"}
+_VALIDATION_ERRORS = (ValueError, PrecisionTooLow, IndependenceEvidenceMissing,
+                      FileNotFoundError)
+_CONSISTENCY_ERRORS = (ConsistencyFailure, FormulaConsistencyError,
+                       StructureError, DegreeCertificateFailure,
+                       WitnessFailure, IndependenceFalsified, NotSalemError,
+                       IsolationError, NoSiegelRoot, IntegralityFailure)
 
 
-def _emit(report: dict, out) -> None:
+def _emit(report: dict, out, precision: int = 0, bound: int = 0,
+          failure: Optional[str] = None) -> None:
+    """Attach the run configuration to report and write it, or raise
+    ConsistencyFailure carrying the report when failure names a failed
+    check."""
+    report["run_config"] = {"precision_bits": precision,
+                            "relation_bound": bound, "output": out or "stdout"}
+    if failure:
+        raise ConsistencyFailure(failure, report)
     text = json.dumps(report, indent=1, sort_keys=True) + "\n"
     if out:
         with open(out, "w") as fh:
@@ -90,8 +95,7 @@ def coxeter():
 @_out_opt
 def coxeter_poly(n, out):
     e_n = en_from_formula(n)
-    _emit({"n": n, "degree": e_n.degree, "e_n": e_n.to_json(),
-           "run_config": _run_config(0, 0, out)}, out)
+    _emit({"n": n, "degree": e_n.degree, "e_n": e_n.to_json()}, out)
 
 
 @coxeter.command("factor")
@@ -105,10 +109,8 @@ def coxeter_factor(n, out):
     # no cyclotomic factor (salem_factor) and one root outside the
     # closed disk (pattern): Kronecker
     report["irreducible"] = pattern.passed
-    report["run_config"] = _run_config(0, 0, out)
-    if not pattern.passed:
-        raise ConsistencyFailure(f"Salem pattern not certified for n={n}", report)
-    _emit(report, out)
+    _emit(report, out, failure=None if pattern.passed
+          else f"Salem pattern not certified for n={n}")
 
 
 @coxeter.command("oracle")
@@ -116,11 +118,8 @@ def coxeter_factor(n, out):
 @_out_opt
 def coxeter_oracle(n, out):
     a, b = en_from_formula(n), en_from_matrix(n)
-    report = {"n": n, "match": a == b, "e_n": a.to_json(),
-              "run_config": _run_config(0, 0, out)}
-    if a != b:
-        raise ConsistencyFailure(f"formula/matrix mismatch at n={n}", report)
-    _emit(report, out)
+    _emit({"n": n, "match": a == b, "e_n": a.to_json()}, out,
+          failure=None if a == b else f"formula/matrix mismatch at n={n}")
 
 
 # -- mcmullen -----------------------------------------------------------
@@ -140,9 +139,7 @@ def mcmullen():
 def mcmullen_data_cmd(n, branch, precision, out):
     data = mcmullen_data(n, precision_bits=precision,
                          branch_sign=int(branch))
-    report = data.to_json()
-    report["run_config"] = _run_config(precision, 0, out)
-    _emit(report, out)
+    _emit(data.to_json(), out, precision)
 
 
 @mcmullen.command("certificate")
@@ -150,12 +147,8 @@ def mcmullen_data_cmd(n, branch, precision, out):
 @_out_opt
 def mcmullen_certificate(n, out):
     cert = integrality_certificate(n)
-    report = cert.to_json()
-    report["run_config"] = _run_config(0, 0, out)
-    if not cert.passed:
-        raise ConsistencyFailure(f"integrality certificate failed for n={n}",
-                                 report)
-    _emit(report, out)
+    _emit(cert.to_json(), out, failure=None if cert.passed
+          else f"integrality certificate failed for n={n}")
 
 
 # -- mau ----------------------------------------------------------------
@@ -173,9 +166,7 @@ def mau():
 @_out_opt
 def mau_build_cmd(length, precision, bound, out):
     seq = mau_build(length, precision_bits=precision, relation_bound=bound)
-    report = seq.to_json()
-    report["run_config"] = _run_config(precision, bound, out)
-    _emit(report, out)
+    _emit(seq.to_json(), out, precision, bound)
 
 
 @mau.command("audit")
@@ -188,11 +179,9 @@ def mau_audit(seq_file, precision, bound, out):
     report = relation_search(seq.arguments(), bound,
                              min(precision, seq.precision_bits)).to_json()
     report["stored_precision_bits"] = seq.precision_bits
-    report["run_config"] = _run_config(precision, bound, out)
-    if report["outcome"] != "no_relation":
-        raise ConsistencyFailure("stored sequence failed the relation audit",
-                                 report)
-    _emit(report, out)
+    _emit(report, out, precision, bound,
+          failure=None if report["outcome"] == "no_relation"
+          else "stored sequence failed the relation audit")
 
 
 # -- toric --------------------------------------------------------------
@@ -214,10 +203,8 @@ def toric_check(fan_file, out):
     report["complete"] = not any("completeness" in f or "overlap" in f
                                  for f in cert.failures)
     report["N"] = cert.n_cones
-    report["run_config"] = _run_config(0, 0, out)
-    if not cert.passed:
-        raise ConsistencyFailure("fan rejected: " + cert.failures[0], report)
-    _emit(report, out)
+    _emit(report, out, failure=None if cert.passed
+          else "fan rejected: " + cert.failures[0])
 
 
 @toric.command("fixed-points")
@@ -236,12 +223,10 @@ def toric_fixed_points(fan_file, seq_file, precision, bound, out):
     audit = relation_search(list(element.arguments), bound,
                             min(precision, seq.precision_bits))
     pts = fixed_points(fan, element, audit, precision)
-    report = {"fan": fan.to_json(), "element": element.to_json(),
-              "audit": audit.to_json(),
-              "fixed_points": [p.to_json() for p in pts],
-              "count": len(pts),
-              "run_config": _run_config(precision, bound, out)}
-    _emit(report, out)
+    _emit({"fan": fan.to_json(), "element": element.to_json(),
+           "audit": audit.to_json(),
+           "fixed_points": [p.to_json() for p in pts], "count": len(pts)},
+          out, precision, bound)
 
 
 # -- product ------------------------------------------------------------
@@ -280,14 +265,12 @@ def product_classify(spec_file, precision, bound, out):
     spec = _spec_from_file(spec_file, precision)
     count, points = siegel_count(spec, bound, precision)
     entropy = product_entropy(spec, precision)
-    report = {"spec": spec.to_json(),
-              "fixed_points": [fp.to_json() for fp in points],
-              "siegel_count": count,
-              "undetermined": [list(fp.address) for fp in points
-                               if fp.classification == "Undetermined"],
-              "entropy": entropy.to_json(),
-              "run_config": _run_config(precision, bound, out)}
-    _emit(report, out)
+    _emit({"spec": spec.to_json(),
+           "fixed_points": [fp.to_json() for fp in points],
+           "siegel_count": count,
+           "undetermined": [list(fp.address) for fp in points
+                            if fp.classification == "Undetermined"],
+           "entropy": entropy.to_json()}, out, precision, bound)
 
 
 @product.command("entropy")
@@ -297,9 +280,8 @@ def product_classify(spec_file, precision, bound, out):
 def product_entropy_cmd(spec_file, precision, out):
     spec = _spec_from_file(spec_file, precision)
     entropy = product_entropy(spec, precision)
-    report = {"spec": spec.to_json(), "entropy": entropy.to_json(),
-              "run_config": _run_config(precision, 0, out)}
-    _emit(report, out)
+    _emit({"spec": spec.to_json(), "entropy": entropy.to_json()}, out,
+          precision)
 
 
 # -- dispatch -----------------------------------------------------------
@@ -319,21 +301,14 @@ def main(argv=None) -> int:
         sys.exit(EXIT_INVALID)
     except click.exceptions.Abort:
         sys.exit(EXIT_INVALID)
-    except ConsistencyFailure as exc:
-        click.echo(json.dumps({"error": str(exc), "kind": "consistency",
-                               "report": exc.report},
+    except (*_CONSISTENCY_ERRORS, *_VALIDATION_ERRORS) as exc:
+        consistency = isinstance(exc, _CONSISTENCY_ERRORS)
+        kind = "consistency" if consistency else "validation"
+        detail = ({"report": exc.report} if isinstance(exc, ConsistencyFailure)
+                  else {"type": type(exc).__name__})
+        click.echo(json.dumps({"error": str(exc), "kind": kind, **detail},
                               indent=1, sort_keys=True))
-        sys.exit(EXIT_INCONSISTENT)
-    except _CONSISTENCY_ERRORS as exc:
-        click.echo(json.dumps({"error": str(exc), "kind": "consistency",
-                               "type": type(exc).__name__},
-                              indent=1, sort_keys=True))
-        sys.exit(EXIT_INCONSISTENT)
-    except _VALIDATION_ERRORS as exc:
-        click.echo(json.dumps({"error": str(exc), "kind": "validation",
-                               "type": type(exc).__name__},
-                              indent=1, sort_keys=True))
-        sys.exit(EXIT_INVALID)
+        sys.exit(EXIT_INCONSISTENT if consistency else EXIT_INVALID)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .polyring import (IntPoly, ONE, cyclotomic, divisors, euler_phi,
                        monomial, poly)
@@ -233,13 +233,14 @@ def _vanishes_at_zeta(n: int, d: int) -> bool:
                for g in groups.values())
 
 
+@cache
 def cyclotomic_part(n: int) -> tuple[tuple[int, int], ...]:
     """((d, 1), ...) for every Phi_d dividing E_n, ascending d.
 
     Phi_1 never divides (E_n(1) = 9 - n); for d >= 2, Phi_d | E_n exactly
     when S(zeta_d) = 0, and d | CYCLOTOMIC_ORDERS_DIVIDE (Mann).  The
     circle roots of E_n are simple (salem_pattern), so each multiplicity
-    is 1.
+    is 1.  Cached by n: every later salem_factor(n) reuses the split.
     """
     if n < 10:
         raise ValueError("n must be >= 10")

@@ -19,7 +19,7 @@ from typing import Optional
 import mpmath as mp
 
 from .coxeter import cyclotomic_part, salem_factor
-from .mcmullen import IntegralityCertificate, NoSiegelRoot, _pair_data
+from .mcmullen import IntegralityCertificate, NoSiegelRoot, mcmullen_data
 from .roots import GUARD_BITS, ComplexBall, RealBall, Report
 
 
@@ -399,13 +399,13 @@ def _source_pair(seq: MAUSequence, fact, precision_bits: int, *, k: int,
     """seq extended by the (alpha, beta) entries of source n = fact.n and
     their certificate, without a relation audit.
 
-    fact is the factorization of E_n, reused for the eigenvalue data; one
-    Siegel and one non-Siegel root are certified, and |alpha'/beta'| must
-    be certified != 1.
+    fact is the factorization of E_n; one Siegel and one non-Siegel root
+    are certified (mcmullen_data), and |alpha'/beta'| must be certified
+    != 1.
     """
     n = fact.n
     try:
-        data = _pair_data(fact, precision_bits)
+        data = mcmullen_data(n, precision_bits)
     except NoSiegelRoot as exc:
         raise WitnessFailure(str(exc)) from exc
     ratio = data.ratio_prime
@@ -436,7 +436,8 @@ def mau_extend(seq: MAUSequence, precision_bits: int = 512) -> MAUSequence:
     """Append the (alpha, beta) pair of the next admissible prime degree.
 
     Selects the smallest k with q = 180k + 7 prime and q > seq.degree_bound,
-    verifies deg phi = 360k + 14 (so deg r = deg phi / 2 = q) and
+    verifies that E_n splits as E_19 does, Phi_2 Phi_5 phi (so
+    deg phi = n - 5 = 360k + 14 and deg r = deg phi / 2 = q), and
     certifies one Siegel and one non-Siegel root.  The result carries no
     relation audit: the builder audits the finished sequence once.
     """
@@ -453,9 +454,6 @@ def mau_extend(seq: MAUSequence, precision_bits: int = 512) -> MAUSequence:
     if fact.cyclotomic_part != cyclotomic_part(19):
         raise DegreeCertificateFailure(
             f"cyclotomic part of E_{n} deviates from the residue-19 pattern")
-    if fact.degree != n - 5:
-        raise DegreeCertificateFailure(
-            f"deg phi = {fact.degree}, expected {n - 5} for k={k}")
 
     return _source_pair(seq, fact, precision_bits, k=k, q=q, witness=witness,
                         q_exceeds_bound=q > seq.degree_bound)

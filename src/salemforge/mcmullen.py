@@ -35,7 +35,7 @@ from .coxeter import (PISOT, PISOT_STAR, FormulaConsistencyError,
                       SalemFactorization, salem_factor)
 from .roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
                     Report, arccos_ball, circle_root_arguments, cos_ball,
-                    float_phase_guess, log_ball, phase_circle_root, phase_eta,
+                    log_ball, phase_circle_root, phase_eta, phase_guess,
                     phase_turns, salem_eta, sqrt_ball, unit_exp_ball)
 
 
@@ -261,7 +261,7 @@ def witness_roots(fact: SalemFactorization, precision_bits: int
 
     def witness(tag: str, first: int, preselect) -> CircleRoot:
         for j in range(max(first, 2), n // 2 + 1):
-            if j in cyc or not preselect(abs(_w_float(float_phase_guess(n, j)))):
+            if j in cyc or not preselect(abs(_w_float(float(phase_guess(n, j))))):
                 continue
             root = CircleRoot.from_theta(phase_circle_root(n, j, precision_bits),
                                          precision_bits,
@@ -367,20 +367,13 @@ def mcmullen_data(n: int, precision_bits: int = 256,
 
     The two witnesses (witness_roots) and eta (phase_eta) come from the
     Pisot phase of E_n, at every degree; phi is neither built nor
-    evaluated.
+    evaluated.  The split of E_n is read from coxeter's per-n cache.
     """
     if n % 6 != 1:
         raise ValueError(f"n must be 1 mod 6, got {n}")
     if n < 13:
         raise ValueError("n must be at least 13")
-    return _pair_data(salem_factor(n), precision_bits, branch_sign)
-
-
-def _pair_data(fact: SalemFactorization, precision_bits: int,
-               branch_sign: int = +1) -> McMullenPairData:
-    """mcmullen_data from a factorization of E_n the caller already holds."""
-    n = fact.n
-    delta, delta_prime = witness_roots(fact, precision_bits)
+    delta, delta_prime = witness_roots(salem_factor(n), precision_bits)
 
     # one branch per witness, from the w each witness holds; delta's is
     # Siegel: witness_roots certified that w, and the class reads only |w|

@@ -15,13 +15,14 @@ real root in (1, rho)).  No dense polynomial is evaluated on these paths.
 
 The phase work runs in two stages.  A double-precision stage steers:
 phase_tail is the bounded part G of the phase in floats, which gives the
-starting guesses (phase_guess, float_phase_guess), the phase index of a
+starting guess of each circle root (phase_guess), the phase index of a
 point (phase_turns) and the float bracket of eta, while the term (n - 1)t
 stays exact or in mpmath.  No label or ball comes from it: every
 reported root is certified afterwards by sign_change_root.
 
-Two independent oracles stay for the tests and are kept off the
-production paths.  The dense oracle works on any monic reciprocal
+Three oracles stay for the tests and are kept off the production paths.
+pisot_phase is the phase h(t) itself in multiprecision, the reference
+for the float stage.  The dense oracle works on any monic reciprocal
 polynomial: circle_root_brackets (a float scan of
 G(t) = Re(e^(-imt) p(e^(it)))), circle_root, circle_root_arguments and
 salem_eta, all certified through sign_change_root.  The Aberth oracle
@@ -646,24 +647,6 @@ def sign_change_root(newton_step, value_ball, lo: float, hi: float,
 _RHO = 1.324717957244746             # rho rounded to double precision
 
 
-def _plastic() -> mp.mpf:
-    """rho, the real root of x^3 - x - 1, at the working precision."""
-    r = mp.sqrt(69) / 18
-    return mp.cbrt(mp.mpf(1) / 2 + r) + mp.cbrt(mp.mpf(1) / 2 - r)
-
-
-def pisot_phase(n: int, t) -> tuple[mp.mpf, mp.mpf]:
-    """The phase h(t) of E_n and its derivative h'(t), 0 <= t <= pi, at
-    the working precision."""
-    rho = _plastic()
-    c, s = mp.cos_sin(t)
-    q = mp.mpc(1 + rho * c + (2 * c * c - 1) / rho, -s * (rho + 2 * c / rho))
-    h = (n - 1) * t + 2 * mp.pi + 2 * mp.atan2(-s, rho - c) + 2 * mp.arg(q)
-    z = mp.mpc(c, s)
-    dh = n - 5 + 2 * (z * (3 * z * z - 1) / (z ** 3 - z - 1)).real
-    return h, dh
-
-
 def phase_tail(t: float) -> tuple[float, float]:
     """The tail G(t) = h(t) - (n - 1)t - 2 pi and G'(t), 0 <= t <= pi, in
     double precision; G does not depend on n."""
@@ -691,10 +674,11 @@ def phase_turns(n: int, turns) -> tuple[int, float]:
     return k, float(rest) + 1 + phase_tail(2 * math.pi * float(turns))[0] / (2 * math.pi)
 
 
-def _phase_start(n: int, j: int) -> tuple[mp.mpf, float]:
-    """(t0, u) with theta_j = t0 + u to double precision in u.
+def phase_guess(n: int, j: int) -> mp.mpf:
+    """theta_j, the t in (0, pi) with h(t) = 2 pi j, to about 2^-45.
 
-    t0 = 2 pi (j - 1)/(n - 1) at 64 + log2(n) bits; u solves
+    t0 + u at 64 + log2(n) bits, with t0 = 2 pi (j - 1)/(n - 1) in mpmath:
+    (n - 1)t magnifies the rounding of t by n.  u solves
     (n - 1)u + G(t0 + u) = 0 by float Newton kept inside [-t0, pi - t0].
     """
     if n < 10 or not 2 <= j <= n // 2:
@@ -713,29 +697,10 @@ def _phase_start(n: int, j: int) -> tuple[mp.mpf, float]:
             hi = u
         nxt = u - f / (n - 1 + dg)
         if abs(nxt - u) < tol:
-            return t0, nxt
+            with mp.workprec(64 + n.bit_length()):
+                return t0 + nxt
         u = nxt if lo < nxt < hi else (lo + hi) / 2
     raise IsolationError(f"phase Newton did not converge at n={n}, j={j}")
-
-
-def float_phase_guess(n: int, j: int) -> float:
-    """theta_j in double precision, from the float tail alone."""
-    t0, u = _phase_start(n, j)
-    return float(t0) + u
-
-
-def phase_guess(n: int, j: int) -> mp.mpf:
-    """theta_j, the t in (0, pi) with h(t) = 2 pi j, to about 2^-60.
-
-    The float start of _phase_start, good to about 2^-50 / n, then one
-    Newton step on pisot_phase at 64 + log2(n) bits: (n - 1)t magnifies
-    the rounding of t by n.
-    """
-    t0, u = _phase_start(n, j)
-    with mp.workprec(64 + n.bit_length()):
-        t = t0 + u
-        h, dh = pisot_phase(n, t)
-        return t - (h - 2 * mp.pi * j) / dh
 
 
 def phase_circle_root(n: int, j: int, precision_bits: int) -> RealBall:
@@ -830,6 +795,30 @@ def phase_eta(n: int, precision_bits: int) -> RealBall:
                 - RealBall(q.mid.real, q.radius) * xp)
 
     return sign_change_root(newton_step, value_ball, lo, hi, precision_bits)
+
+
+# -- oracle: the phase h(t) of E_n in multiprecision ----------------------
+#
+# The reference the tests check the float tail, the guesses and the phase
+# indices against; no production path evaluates it.
+
+
+def _plastic() -> mp.mpf:
+    """rho, the real root of x^3 - x - 1, at the working precision."""
+    r = mp.sqrt(69) / 18
+    return mp.cbrt(mp.mpf(1) / 2 + r) + mp.cbrt(mp.mpf(1) / 2 - r)
+
+
+def pisot_phase(n: int, t) -> tuple[mp.mpf, mp.mpf]:
+    """The phase h(t) of E_n and its derivative h'(t), 0 <= t <= pi, at
+    the working precision."""
+    rho = _plastic()
+    c, s = mp.cos_sin(t)
+    q = mp.mpc(1 + rho * c + (2 * c * c - 1) / rho, -s * (rho + 2 * c / rho))
+    h = (n - 1) * t + 2 * mp.pi + 2 * mp.atan2(-s, rho - c) + 2 * mp.arg(q)
+    z = mp.mpc(c, s)
+    dh = n - 5 + 2 * (z * (3 * z * z - 1) / (z ** 3 - z - 1)).real
+    return h, dh
 
 
 # -- the dense oracle: circle roots and eta of any reciprocal polynomial ----

@@ -3,6 +3,7 @@
 import gzip
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -73,6 +74,15 @@ def test_extension_scan_starts_at_the_bound(monkeypatch):
     assert seq4.relation_audit is None   # audited once, by the builder
     assert [d_of(k) for k in (2, 3, 4)] == [367, 547, 727]
     assert n_of(2) == 739
+
+
+def test_extension_refuses_a_split_off_the_residue_19_pattern(monkeypatch):
+    # Phi_2 alone claimed for E_739: deg phi would be n - 1, not n - 5 = 2q
+    salem_factor = mau.salem_factor
+    monkeypatch.setattr(mau, "salem_factor", lambda n: replace(
+        salem_factor(n), cyclotomic_part=((2, 1),)))
+    with pytest.raises(DegreeCertificateFailure, match="residue-19"):
+        mau_extend(MAUSequence(precision_bits=256), 256)
 
 
 def test_one_relation_audit_per_build(monkeypatch):

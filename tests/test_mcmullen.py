@@ -139,8 +139,9 @@ def test_float_phase_indices_equal_the_multiprecision_ones():
 
 @pytest.mark.parametrize("sign", (1, -1))
 def test_steering_evaluates_no_spare_multiprecision_phase(monkeypatch, sign):
-    """The float stage picks the candidates: each certified root costs one
-    multiprecision phase, two roots are certified, one w per witness."""
+    """The float stage picks the candidates and starts the certified
+    roots: no multiprecision phase, two roots are certified, one w per
+    witness."""
     calls = Counter()
 
     def count(module, name):
@@ -158,8 +159,26 @@ def test_steering_evaluates_no_spare_multiprecision_phase(monkeypatch, sign):
     count(mcmullen, "_w_interval")
     assert mcmullen_data(43, 256, sign).siegel_root
     assert calls["phase_circle_root"] == 2
-    assert calls["pisot_phase"] <= calls["phase_circle_root"]
+    assert calls["pisot_phase"] == 0
     assert calls["_w_interval"] == 2
+
+
+def test_split_is_computed_once_per_n(monkeypatch):
+    """Eight pair-data calls at one n, as siegel_scan makes them, split
+    E_n once: one exact test per divisor d >= 2 of 1800."""
+    calls = Counter()
+    vanishes = coxeter._vanishes_at_zeta
+
+    def counted(n, d):
+        calls[n] += 1
+        return vanishes(n, d)
+
+    monkeypatch.setattr(coxeter, "_vanishes_at_zeta", counted)
+    coxeter.cyclotomic_part.cache_clear()
+    for precision_bits in (128, 256, 512, 1024):
+        for sign in (1, -1):
+            assert mcmullen_data(43, precision_bits, sign).siegel_root
+    assert calls == {43: 35}
 
 
 @pytest.mark.parametrize("n", range(13, 134, 6))

@@ -194,7 +194,7 @@ def test_no_root_at_theta_zero_or_past_pi():
     first = phase_circle_root(19, 2, 128)
     assert first.lo > 0.3
     with mp.workprec(100):
-        assert abs(pisot_phase(19, phase_guess(19, 2))[0] - 4 * mp.pi) < 2 ** -50
+        assert abs(pisot_phase(19, phase_guess(19, 2))[0] - 4 * mp.pi) < 2 ** -45
 
 
 PHASE_NS = (13, 19, 43, 739, 3259, 19_107_739, 730_201_596_227_659)
@@ -213,13 +213,14 @@ def test_float_tail_agrees_with_the_multiprecision_phase(n):
             assert abs(dg - (dh - (n - 1))) < mp.mpf(2) ** -40
 
 
-def test_phase_guess_is_good_to_2_to_minus_55():
-    # the float start plus one multiprecision Newton step, across n and j
-    for n in range(13, 2001, 6):
+def test_phase_guess_is_good_to_2_to_minus_45():
+    # the float start alone, across n and j; the worst measured is
+    # 2^-49.3, at n = 1087, j = 362
+    for n in [*range(13, 2001, 6), 19_107_739, 730_201_596_227_659]:
         for j in sorted({2, n // 3, n // 2}):
             with mp.workprec(64 + n.bit_length() + 40):
                 h = pisot_phase(n, phase_guess(n, j))[0]
-                assert abs(h - 2 * mp.pi * j) < mp.mpf(2) ** -55, (n, j)
+                assert abs(h - 2 * mp.pi * j) < mp.mpf(2) ** -45, (n, j)
 
 
 def test_phase_eta_stays_inside_its_float_bracket():
