@@ -68,7 +68,7 @@ def _emit(report: dict, out, precision: int = 0, bound: int = 0,
 
 
 _precision_opt = click.option(
-    "--precision", type=int, default=256, show_default=True,
+    "--precision", type=click.IntRange(min=1), default=256, show_default=True,
     envvar="SALEMFORGE_PRECISION", help="working precision in bits")
 _bound_opt = click.option(
     "--bound", type=int, default=32, show_default=True,

@@ -12,6 +12,7 @@ scaled-argument lattice provides numeric falsification evidence on top.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -20,7 +21,8 @@ import mpmath as mp
 
 from .coxeter import cyclotomic_part, salem_factor
 from .mcmullen import IntegralityCertificate, NoSiegelRoot, mcmullen_data
-from .roots import GUARD_BITS, ComplexBall, RealBall, Report
+from .roots import (GUARD_BITS, ComplexBall, RealBall, Report, as_real_ball,
+                    int_combination, turns_mod1)
 
 
 class PrecisionTooLow(RuntimeError):
@@ -192,27 +194,11 @@ class RelationReport(Report):
                    notes=tuple(data.get("notes", _AUDIT_NOTES)))
 
 
-def _as_argument_ball(x) -> RealBall:
-    """x as a RealBall; a Fraction is rounded at the working precision."""
-    if isinstance(x, RealBall):
-        return x
-    if isinstance(x, mp.mpf):
-        # an exact binary number: kept at its own precision, radius 0
-        return RealBall(x, mp.mpf(0))
-    if isinstance(x, Fraction):
-        # two roundings, each within 2^-prec relative; 0 stays exact
-        mid = mp.mpf(x.numerator) / x.denominator
-        return RealBall(mid, abs(mid) * mp.ldexp(1, 2 - mp.mp.prec))
-    return RealBall(mp.mpf(x), mp.mpf(0))
-
-
-def _residual_ball(args: list[RealBall], m: tuple[int, ...], wp: int) -> RealBall:
+def _residual_ball(args: list[RealBall], m, precision_bits: int) -> RealBall:
     """Distance of sum(m_i theta_i) from the nearest integer, as a ball."""
-    with mp.workprec(wp):
-        s = mp.fsum(mi * a.mid for mi, a in zip(m, args))
-        r = mp.fsum(abs(mi) * a.rad for mi, a in zip(m, args))
-        j = mp.nint(s)
-        return RealBall(s - j, r + mp.mpf(2) ** (-wp + 4)).abs_ball()
+    with mp.workprec(precision_bits + GUARD_BITS):
+        t = turns_mod1(int_combination(m, args), precision_bits)
+    return (t if t.mid < 0.5 else 1 - t).abs_ball()
 
 
 def relation_search(arguments, bound: int, precision_bits: int) -> RelationReport:
@@ -221,12 +207,13 @@ def relation_search(arguments, bound: int, precision_bits: int) -> RelationRepor
     Builds the lattice spanned by (e_i, round(2^p theta_i)) and (0, 2^p),
     reduces it, re-verifies short candidates at doubled working precision,
     and otherwise certifies a residual gap from the minimal Gram-Schmidt
-    norm of the reduced basis.
+    norm of the reduced basis.  A candidate whose residual is below
+    2^-(p/4) but not below the chance level raises PrecisionTooLow.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     with mp.workprec(2 * precision_bits + GUARD_BITS):
-        args = [_as_argument_ball(a) for a in arguments]
+        args = [as_real_ball(a) for a in arguments]
         if not args:
             raise ValueError("need at least one argument")
         n = len(args)
@@ -252,12 +239,21 @@ def relation_search(arguments, bound: int, precision_bits: int) -> RelationRepor
         m = tuple(v[:n])
         if any(m) and all(abs(x) <= bound for x in m):
             cands.append(m)
+    # at low p one of the (2 bound + 1)^n exponent vectors comes within
+    # 2^-(p/4) of a relation by chance; within 2^-chance_bits, once in 2^20
     threshold = mp.mpf(2) ** (-(precision_bits // 4))
+    chance_bits = 20 + n * math.log2(2 * bound + 1)
     for m in sorted(set(cands), key=lambda m: sum(x * x for x in m)):
         if next(x for x in m if x) < 0:
             m = tuple(-x for x in m)
-        res = _residual_ball(args, m, 2 * precision_bits + GUARD_BITS)
+        res = _residual_ball(args, m, 2 * precision_bits)
         if res.hi < threshold:
+            if res.hi >= mp.mpf(2) ** -chance_bits:
+                needed = 4 * math.ceil(chance_bits)   # 2^-(p/4) <= level
+                raise PrecisionTooLow(
+                    f"residual of exponents {m} is below "
+                    f"2^-{precision_bits // 4} but not below the chance level "
+                    f"2^-{chance_bits:.1f}; search at >= {needed} bits", needed)
             return RelationReport(arguments=tuple(args), bound=bound,
                                   precision_bits=precision_bits,
                                   outcome="candidate", exponents=m, residual=res)

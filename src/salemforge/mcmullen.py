@@ -36,7 +36,8 @@ from .coxeter import (PISOT, PISOT_STAR, FormulaConsistencyError,
 from .roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
                     Report, arccos_ball, circle_root_arguments, cos_ball,
                     log_ball, phase_circle_root, phase_eta, phase_guess,
-                    phase_turns, salem_eta, sqrt_ball, unit_exp_ball)
+                    phase_turns, salem_eta, sqrt_ball, turns_mod1,
+                    two_pi_ball, unit_exp_ball)
 
 
 class PoleError(ValueError):
@@ -74,9 +75,8 @@ class CircleRoot:
         return _w_interval(self.theta, self.ball.precision_bits)
 
     def conjugate(self, precision_bits: int) -> "CircleRoot":
-        with mp.workprec(precision_bits + GUARD_BITS):
-            theta = RealBall(2 * mp.pi - self.theta.mid, self.theta.rad)
-        return CircleRoot.from_theta(theta, precision_bits, -self.index)
+        return CircleRoot.from_theta(two_pi_ball(precision_bits) - self.theta,
+                                     precision_bits, -self.index)
 
     def to_json(self) -> dict:
         return {"theta": self.theta.to_json(), "delta": self.ball.to_json(),
@@ -95,19 +95,19 @@ class Branch:
     arg_turns: Optional[tuple[RealBall, RealBall]]   # Siegel: arg / 2 pi
 
 
+def _half(x: RealBall) -> RealBall:
+    """x / 2, exact."""
+    return RealBall(mp.ldexp(x.mid, -1), mp.ldexp(x.rad, -1))
+
+
 def _w_interval(theta: RealBall, precision_bits: int) -> RealBall:
     """w = 2 cos(theta/2) / (1 + 2 cos theta), the real branch discriminant."""
-    with mp.workprec(precision_bits + GUARD_BITS):
-        half = RealBall(theta.mid / 2, theta.rad / 2)
-        num = 2 * cos_ball(half, precision_bits)
-        den = 1 + 2 * cos_ball(theta, precision_bits)
-        if den.contains_zero():
-            raise PoleError("1 + delta + delta^2 vanishes: delta is a cube root of unity")
-        # interval division via endpoint bounds
-        lo_d, hi_d = den.lo, den.hi
-        cands = [num.lo / lo_d, num.lo / hi_d, num.hi / lo_d, num.hi / hi_d]
-        lo, hi = min(cands), max(cands)
-        return RealBall((lo + hi) / 2, (hi - lo) / 2 + mp.ldexp(1, -mp.mp.prec + 4))
+    num = 2 * cos_ball(_half(theta), precision_bits)
+    try:
+        return num / (1 + 2 * cos_ball(theta, precision_bits))
+    except ZeroDivisionError:
+        raise PoleError("1 + delta + delta^2 vanishes: delta is a cube root "
+                        "of unity") from None
 
 
 def _branch_class(w: RealBall) -> str:
@@ -134,25 +134,24 @@ def eigenvalue_branch(delta: CircleRoot, sign: int) -> Branch:
     tag = _branch_class(w)
     arg_turns = None
     with mp.workprec(precision_bits + GUARD_BITS):
-        half_theta = RealBall(delta.theta.mid / 2, delta.theta.rad / 2)
+        half_theta = _half(delta.theta)
         root_half = unit_exp_ball(half_theta, precision_bits)  # delta^(1/2)
-        ws = RealBall(sign * w.mid, w.rad)
+        ws = w if sign > 0 else -w
         s = ComplexBall(mp.mpc(ws.mid), ws.rad, precision_bits) * root_half
         if tag == "siegel":
             # psi = arccos(w_s / 2); alpha, beta = e^(i(theta/2 +/- psi))
-            psi = arccos_ball(RealBall(ws.mid / 2, ws.rad / 2), precision_bits)
+            psi = arccos_ball(_half(ws), precision_bits)
             up, down = half_theta + psi, half_theta - psi
             alpha = unit_exp_ball(up, precision_bits)
             beta = unit_exp_ball(down, precision_bits)
             ratio = RealBall(mp.mpf(1), alpha.radius + beta.radius)
-            arg_turns = (_arg_turns(up, precision_bits),
-                         _arg_turns(down, precision_bits))
+            two_pi = two_pi_ball(precision_bits)
+            arg_turns = (turns_mod1(up / two_pi, precision_bits),
+                         turns_mod1(down / two_pi, precision_bits))
         else:
             # u real with |u| > 1: u = (w_s + sgn(w_s) sqrt(w_s^2 - 4)) / 2
             disc = sqrt_ball(ws * ws - 2 * 2, precision_bits)
-            sgn = 1 if ws.mid > 0 else -1
-            u = RealBall((ws.mid + sgn * disc.mid) / 2,
-                         (ws.rad + disc.rad) / 2 + mp.ldexp(1, -mp.mp.prec + 4))
+            u = _half(ws + disc if ws.mid > 0 else ws - disc)
             u_ball = ComplexBall(mp.mpc(u.mid), u.rad, precision_bits)
             alpha, beta = u_ball * root_half, root_half / u_ball
             ratio = (u * u).abs_ball()
@@ -350,15 +349,6 @@ class McMullenPairData(Report):
     alpha_arg_turns: RealBall         # arg(alpha) / 2 pi in [0, 1)
     beta_arg_turns: RealBall
     ratio_prime: RealBall             # certified |alpha' / beta'|
-
-
-def _arg_turns(theta_component: RealBall, precision_bits: int) -> RealBall:
-    """Reduce an angle in radians to a turn fraction in [0, 1)."""
-    with mp.workprec(precision_bits + GUARD_BITS):
-        t = theta_component.mid / (2 * mp.pi)
-        t = t - mp.floor(t)
-        return RealBall(t, theta_component.rad / (2 * mp.pi)
-                        + mp.ldexp(1, -mp.mp.prec + 4))
 
 
 def mcmullen_data(n: int, precision_bits: int = 256,

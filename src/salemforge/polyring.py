@@ -112,20 +112,9 @@ class IntPoly:
 
         The divisor must be monic; rational division is out of scope.
         """
-        if q.is_zero() or not q.is_monic():
+        if not q.is_monic():
             raise NonMonicDivisorError(f"divisor must be monic, got {q!r}")
-        rem = list(self.coeffs)
-        dq = q.degree
-        if len(rem) - 1 < dq:
-            return IntPoly(), self
-        quot = [0] * (len(rem) - dq)
-        for i in range(len(rem) - 1, dq - 1, -1):
-            c = rem[i]
-            if c:
-                quot[i - dq] = c
-                for j, qc in enumerate(q.coeffs):
-                    rem[i - dq + j] -= c * qc
-        return IntPoly(quot), IntPoly(rem)
+        return _scaled_div(self, q)
 
     # -- evaluation and structure -------------------------------------
 

@@ -17,12 +17,10 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
-import mpmath as mp
-
 from .mau import (MAUSequence, RelationReport, relation_search,
                   PrecisionTooLow)
 from .mcmullen import IntegralityFailure, integrality_certificate
-from .roots import RealBall, Report, log_ball, phase_eta
+from .roots import RealBall, Report, as_real_ball, log_ball, phase_eta
 from .toric import (Fan, TorusElement, ToricFixedPoint, check_fan,
                     fixed_points as toric_fixed_points, load_fan)
 
@@ -243,8 +241,5 @@ def product_entropy(spec: ProductSpec,
     if not mcm:
         warnings.warn("no surface factor: entropy is exactly 0 and the "
                       "positivity claims do not apply")
-        return RealBall(mp.mpf(0), mp.mpf(0))
-    total = RealBall(mp.mpf(0), mp.mpf(0))
-    for f in mcm:
-        total = total + log_ball(phase_eta(f.n, precision_bits), precision_bits)
-    return total
+    return sum((log_ball(phase_eta(f.n, precision_bits), precision_bits)
+                for f in mcm), as_real_ball(0))

@@ -2,7 +2,9 @@
 
 Midpoint/radius ball arithmetic on top of mpmath and one certified-root
 primitive, sign_change_root: Newton from a float bracket, then a sign
-change of the function at t -/+ eps checked on balls.
+change of the function at t -/+ eps checked on balls.  This module alone
+sizes rounding bounds: the other layers compose RealBall operations,
+as_real_ball, int_combination, turns_mod1 and two_pi_ball.
 
 The production roots of McMullen's E_n come from the Pisot phase, in
 O(1) work per root at any n: E_n(x)(x - 1) = x^(n-2) P(x) - P*(x) with
@@ -99,13 +101,11 @@ class RealBall:
 
     @property
     def lo(self) -> mp.mpf:
-        with mp.workprec(_auto_prec(self.mid, self.rad)):
-            return self.mid - self.rad
+        return mp.fsub(self.mid, self.rad, exact=True)
 
     @property
     def hi(self) -> mp.mpf:
-        with mp.workprec(_auto_prec(self.mid, self.rad)):
-            return self.mid + self.rad
+        return mp.fadd(self.mid, self.rad, exact=True)
 
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
@@ -117,7 +117,7 @@ class RealBall:
         return self.hi < 0
 
     def __add__(self, other):
-        o = _as_real(other)
+        o = as_real_ball(other)
         with mp.workprec(_auto_prec(self.mid, o.mid)):
             if self.mid == 0 or o.mid == 0:   # exact: no rounding happened
                 return RealBall(self.mid + o.mid, self.rad + o.rad)
@@ -127,29 +127,39 @@ class RealBall:
     __radd__ = __add__
 
     def __neg__(self):
-        with mp.workprec(_auto_prec(self.mid)):
-            return RealBall(-self.mid, self.rad)
+        return RealBall(mp.fneg(self.mid, exact=True), self.rad)
 
     def __sub__(self, other):
-        return self + (-_as_real(other))
+        return self + (-as_real_ball(other))
 
     def __rsub__(self, other):
-        return _as_real(other) + (-self)
+        return as_real_ball(other) + (-self)
 
     def __mul__(self, other):
-        o = _as_real(other)
+        o = as_real_ball(other)
         with mp.workprec(_auto_prec(self.mid, o.mid)):
             rad = abs(self.mid) * o.rad + abs(o.mid) * self.rad + self.rad * o.rad
             return RealBall(self.mid * o.mid, rad + _ulp(mp.mp.prec, self.mid * o.mid))
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        o = as_real_ball(other)
+        if o.contains_zero():
+            raise ZeroDivisionError("divisor ball contains zero")
+        with mp.workprec(_auto_prec(self.mid, o.mid)):
+            q = self.mid / o.mid
+            rad = (self.rad + abs(q) * o.rad) / (abs(o.mid) - o.rad)
+            return RealBall(q, rad + _ulp(mp.mp.prec, q))
+
+    def __rtruediv__(self, other):
+        return as_real_ball(other) / self
+
     def abs_ball(self) -> "RealBall":
-        with mp.workprec(_auto_prec(self.mid, self.rad)):
-            if self.contains_zero():
-                hi = abs(self.mid) + self.rad
-                return RealBall(hi / 2, hi / 2)
-            return RealBall(abs(self.mid), self.rad)
+        if self.contains_zero():
+            half = mp.ldexp(max(-self.lo, self.hi), -1)
+            return RealBall(half, half)
+        return self if self.mid > 0 else -self
 
     def to_json(self) -> dict:
         return {"mid": _str_full(self.mid), "radius": _str_outward(self.rad)}
@@ -175,10 +185,47 @@ class Report:
         return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
 
 
-def _as_real(x) -> RealBall:
+def as_real_ball(x) -> RealBall:
+    """x as a RealBall: an int or an mpf exactly, at any width; a Fraction
+    rounded at the working precision with the rounding in the radius."""
     if isinstance(x, RealBall):
         return x
-    return RealBall(mp.mpf(x), mp.mpf(0))
+    if isinstance(x, int):
+        return RealBall(mp.make_mpf(mp.libmp.from_int(x)), mp.mpf(0))
+    if isinstance(x, mp.mpf):
+        return RealBall(x, mp.mpf(0))
+    if isinstance(x, Fraction):
+        mid = mp.make_mpf(mp.libmp.from_rational(
+            x.numerator, x.denominator, mp.mp.prec, mp.libmp.round_nearest))
+        return RealBall(mid, mp.ldexp(abs(mid), 1 - mp.mp.prec))
+    raise TypeError(f"no exact ball for {type(x).__name__} {x!r}")
+
+
+def two_pi_ball(precision_bits: int) -> RealBall:
+    """2 pi as a ball at precision_bits + GUARD_BITS."""
+    with mp.workprec(precision_bits + GUARD_BITS):
+        two_pi = 2 * mp.pi
+        return RealBall(two_pi, _ulp(mp.mp.prec, two_pi))
+
+
+def int_combination(ks, balls) -> RealBall:
+    """sum k_i x_i for ints k_i and balls x_i: the products are exact and
+    their sum is rounded once, with that rounding in the radius."""
+    mids = [mp.fmul(k, x.mid, exact=True) for k, x in zip(ks, balls)]
+    with mp.workprec(_auto_prec(*mids)):
+        mid = mp.fsum(mids)
+        rad = mp.fsum(abs(k) * x.rad for k, x in zip(ks, balls))
+        return RealBall(mid, rad + _ulp(mp.mp.prec, mid))
+
+
+def turns_mod1(x: RealBall, precision_bits: int) -> RealBall:
+    """A turn x reduced mod 1: the midpoint less its integer part, rounded
+    down into [0, 1) at precision_bits + GUARD_BITS, with that rounding in
+    the radius."""
+    wp = precision_bits + GUARD_BITS
+    with mp.workprec(wp):
+        t = mp.fsub(x.mid, mp.floor(x.mid), rounding="f")
+        return RealBall(t, x.rad + _ulp(wp))
 
 
 @dataclass(frozen=True)
@@ -265,8 +312,7 @@ def _as_ball(x, prec: int) -> ComplexBall:
 
 def unit_circle_distance(z: ComplexBall) -> RealBall:
     """Certified interval containing |z| - 1."""
-    a = z.abs_ball()
-    return RealBall(a.mid - 1, a.rad)
+    return z.abs_ball() - 1
 
 
 # -- polynomial evaluation helpers ------------------------------------
@@ -552,21 +598,11 @@ def classify_salem(rs: RootSet) -> SalemCertificate:
 def entropy_from_charpoly(p: IntPoly, precision_bits: int = 256) -> RealBall:
     """log of the largest root modulus, certified; exactly 0 when no root
     is certified outside the closed unit disk."""
-    rs = isolate_roots(p, precision_bits)
-    best = None
-    any_outside = False
-    with mp.workprec(precision_bits + GUARD_BITS):
-        for (ball, _), tag in zip(rs.roots, rs.classification):
-            d = unit_circle_distance(ball)
-            if d.is_positive():
-                any_outside = True
-            a = ball.abs_ball()
-            if best is None or a.mid > best.mid:
-                best = a
-        if not any_outside:
-            return RealBall(mp.mpf(0), mp.mpf(0))
-        lo, hi = mp.log(best.lo), mp.log(best.hi)
-        return RealBall((lo + hi) / 2, (hi - lo) / 2 + _ulp(mp.mp.prec, hi))
+    balls = isolate_roots(p, precision_bits).balls()
+    if not any(unit_circle_distance(b).is_positive() for b in balls):
+        return as_real_ball(0)
+    return log_ball(max((b.abs_ball() for b in balls), key=lambda a: a.mid),
+                    precision_bits)
 
 
 # -- certified real roots by a sign change --------------------------------

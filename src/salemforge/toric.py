@@ -20,8 +20,9 @@ from typing import Optional
 
 import mpmath as mp
 
-from .mau import MAUSequence, RelationReport, _as_argument_ball, json_fields
-from .roots import GUARD_BITS, RealBall, Report
+from .mau import MAUSequence, RelationReport, json_fields
+from .roots import (GUARD_BITS, RealBall, Report, as_real_ball,
+                    int_combination, turns_mod1)
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -250,12 +251,6 @@ def exponent_image(k_matrix: IntMatrix, r) -> tuple[int, ...]:
 # -- torus elements and fixed points ------------------------------------
 
 
-def _turns_mod1(x: RealBall, precision_bits: int) -> RealBall:
-    with mp.workprec(precision_bits + GUARD_BITS):
-        t = x.mid - mp.floor(x.mid)
-        return RealBall(t, x.rad)
-
-
 @dataclass(frozen=True)
 class TorusElement(Report):
     """Point of the compact torus, stored by coordinate arguments (turns)."""
@@ -283,7 +278,7 @@ class TorusElement(Report):
     @classmethod
     def explicit(cls, arguments, precision_bits: int = 256) -> "TorusElement":
         with mp.workprec(precision_bits + GUARD_BITS):
-            args = tuple(_as_argument_ball(a) for a in arguments)
+            args = tuple(as_real_ball(a) for a in arguments)
         return cls(dim=len(args), arguments=args,
                    provenance=tuple("explicit" for _ in args))
 
@@ -321,15 +316,8 @@ def fixed_points(fan: Fan, a: TorusElement,
             "supply a no-relation audit or sequence provenance")
     out = []
     for p, k_mat in enumerate(dual_bases(fan)):
-        eig = []
-        with mp.workprec(2 * precision_bits + GUARD_BITS):
-            for i in range(fan.dim):
-                mid = mp.fsum(k_mat[i][j] * a.arguments[j].mid
-                              for j in range(fan.dim))
-                rad = mp.fsum(abs(k_mat[i][j]) * a.arguments[j].rad
-                              for j in range(fan.dim))
-                rad += mp.mpf(2) ** (-mp.mp.prec + 6)
-                eig.append(_turns_mod1(RealBall(mid, rad), precision_bits))
+        eig = tuple(turns_mod1(int_combination(row, a.arguments), precision_bits)
+                    for row in k_mat)
         out.append(ToricFixedPoint(cone_index=p, dual_basis=k_mat,
-                                   eigenvalue_arguments=tuple(eig)))
+                                   eigenvalue_arguments=eig))
     return out

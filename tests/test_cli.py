@@ -113,6 +113,21 @@ def test_unknown_flag_exits_64_with_usage():
     assert b"Usage" in res.stderr
 
 
+@pytest.mark.parametrize("precision", ["0", "-5"])
+def test_non_positive_precision_exits_64(precision):
+    res = run_cli("mcmullen", "data", "--n", "19", "--precision", precision)
+    assert res.returncode == 64
+    assert b"--precision" in res.stderr
+
+
+def test_chance_relation_at_low_precision_is_a_validation_error():
+    res = run_cli("mau", "build", "--length", "2", "--precision", "16")
+    assert res.returncode == 1
+    report = json.loads(res.stdout)
+    assert report["kind"] == "validation"
+    assert report["type"] == "PrecisionTooLow"
+
+
 def test_byte_identical_reruns():
     a = run_cli("mcmullen", "data", "--n", "19")
     b = run_cli("mcmullen", "data", "--n", "19")

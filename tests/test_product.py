@@ -86,6 +86,15 @@ def test_double_factor_counts(spec_double):
     assert siegel_addrs == [("Q", "Q")]
 
 
+def test_chance_relation_is_undetermined_at_low_precision(spec_double):
+    # at 32 bits an exponent vector comes within 2^-8 of a relation by
+    # chance alone: no verified relation, so Q x Q is not NonSiegel
+    count, report = siegel_count(spec_double, 32, 32)
+    qq = next(fp for fp in report if fp.address == ("Q", "Q"))
+    assert qq.classification == UNDETERMINED and count == 0
+    assert qq.evidence["remediation"]["raise_precision_to"] > 32
+
+
 def test_classification_invariant_under_reordering(seq4):
     fwd = build_product_spec([("mcmullen", 739), ("mcmullen", 3259)], seq4)
     # swap the entries to swap factor order coherently

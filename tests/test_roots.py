@@ -1,8 +1,12 @@
 """Ball arithmetic, certified root isolation, and Salem classification."""
 
+import random
+from pathlib import Path
+
 import mpmath as mp
 import pytest
 
+import salemforge
 from salemforge.polyring import IntPoly, poly, monomial, ONE
 from salemforge.roots import (ComplexBall, NotSalemError, RealBall,
                               _classify_tags, _eta_bracket,
@@ -28,6 +32,44 @@ def test_real_ball_contains_sum():
     b = RealBall(mp.mpf("0.25"), mp.mpf("1e-30"))
     s = a + b
     assert s.lo <= 0.75 <= s.hi
+
+
+def test_real_ball_ends_are_exact():
+    b = RealBall(mp.mpf(1), mp.mpf(2) ** -100)
+    assert b.lo < 1 < b.hi
+
+
+def test_real_ball_sum_takes_wide_operands_exactly():
+    # in the default 53-bit context: a 600-bit mpf and a 700-bit int
+    with mp.workprec(600):
+        third = mp.mpf(1) / 3
+    big = random.Random(700).getrandbits(700)
+    half = RealBall(mp.mpf("0.5"), mp.mpf(0))
+    for x in (third, big):
+        s = half + x
+        with mp.workprec(2000):
+            exact = mp.mpf("0.5") + x
+        assert s.lo <= exact <= s.hi
+
+
+def test_real_ball_division():
+    with mp.workprec(200):
+        q = RealBall(mp.mpf(1), mp.mpf(2) ** -80) / 3
+    with mp.workprec(400):
+        assert q.lo < mp.mpf(1) / 3 < q.hi
+    assert q.rad < mp.mpf(2) ** -75
+    with pytest.raises(ZeroDivisionError):
+        q / RealBall(mp.mpf(2) ** -90, mp.mpf(2) ** -80)
+    with pytest.raises(ZeroDivisionError):
+        1 / RealBall(mp.mpf(0), mp.mpf(0))
+
+
+def test_only_roots_reads_the_working_precision():
+    # roots owns every rounding bound; the other layers compose RealBall
+    # operations and never size a radius from the context precision
+    src = Path(salemforge.__file__).parent
+    for name in ("mcmullen", "mau", "toric", "product"):
+        assert "mp.mp.prec" not in (src / f"{name}.py").read_text(), name
 
 
 def test_real_ball_mul_signs():

@@ -131,6 +131,18 @@ def test_fixed_points_counts_and_identity_cone():
         assert abs(eig.mid - arg.mid) < mp.mpf(2) ** -200
 
 
+@pytest.mark.parametrize("precision_bits", [128, 256, 512])
+def test_eigenvalue_argument_balls_contain_the_exact_reduction(
+        seq19_739, precision_bits):
+    te = TorusElement.from_mau(seq19_739, [0, 1])
+    audit = relation_search(list(te.arguments), 32, precision_bits)
+    for pt in fixed_points(load_fan("plane"), te, audit, precision_bits):
+        for row, eig in zip(pt.dual_basis, pt.eigenvalue_arguments):
+            with mp.workprec(3000):
+                s = mp.fsum(k * a.mid for k, a in zip(row, te.arguments))
+                assert abs(eig.mid - (s - mp.floor(s))) <= eig.rad
+
+
 def test_fixed_points_refuses_without_evidence():
     te, _ = _independent_element(2)
     with pytest.raises(IndependenceEvidenceMissing):
