@@ -71,7 +71,7 @@ _precision_opt = click.option(
     "--precision", type=click.IntRange(min=1), default=256, show_default=True,
     envvar="SALEMFORGE_PRECISION", help="working precision in bits")
 _bound_opt = click.option(
-    "--bound", type=int, default=32, show_default=True,
+    "--bound", type=click.IntRange(min=1), default=32, show_default=True,
     help="maximum |exponent| in relation searches")
 _out_opt = click.option("--out", type=click.Path(writable=True), default=None,
                         help="write the JSON report to a file")

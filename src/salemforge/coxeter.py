@@ -108,9 +108,7 @@ def charpoly(a) -> IntPoly:
         if k > 1:
             for i in range(n):
                 m[i][i] += coeffs[n - k + 1]
-            m = _mat_mul(a, m)
-        else:
-            m = _mat_mul(a, m)
+        m = _mat_mul(a, m)
         tr = sum(m[i][i] for i in range(n))
         assert tr % k == 0, "Faddeev-LeVerrier trace must divide exactly"
         coeffs[n - k] = -tr // k

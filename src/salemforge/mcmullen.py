@@ -15,6 +15,8 @@ which certifies every circle root of a dense phi, is the oracle the tests
 compare against.  The pair data builds one branch per witness, from the
 w the witness holds; the Siegel branch's
 psi = arccos(w/2) gives alpha, beta and their turns (theta/2 +/- psi)/2pi.
+Every complex ball is a polar ball (roots.polar_ball): this module does
+no complex-ball arithmetic and sets no working precision.
 Integrality of alpha and beta is certified by one exact norm,
 N(E_n(omega)) = Res(E_n, x^2+x+1) = 1, read from the sparse form of E_n.
 """
@@ -33,11 +35,10 @@ import mpmath as mp
 from .polyring import IntPoly
 from .coxeter import (PISOT, PISOT_STAR, FormulaConsistencyError,
                       SalemFactorization, salem_factor)
-from .roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
-                    Report, arccos_ball, circle_root_arguments, cos_ball,
-                    log_ball, phase_circle_root, phase_eta, phase_guess,
-                    phase_turns, salem_eta, sqrt_ball, turns_mod1,
-                    two_pi_ball, unit_exp_ball)
+from .roots import (ComplexBall, IsolationError, RealBall, Report,
+                    arccos_ball, circle_root_arguments, cos_ball, log_ball,
+                    phase_circle_root, phase_eta, phase_guess, phase_turns,
+                    polar_ball, salem_eta, sqrt_ball, turns_mod1, two_pi_ball)
 
 
 class PoleError(ValueError):
@@ -66,7 +67,7 @@ class CircleRoot:
 
     @classmethod
     def from_theta(cls, theta: RealBall, precision_bits: int, index: int) -> "CircleRoot":
-        return cls(theta=theta, ball=unit_exp_ball(theta, precision_bits), index=index)
+        return cls(theta=theta, ball=polar_ball(1, theta, precision_bits), index=index)
 
     @cached_property
     def w(self) -> RealBall:
@@ -125,39 +126,40 @@ def eigenvalue_branch(delta: CircleRoot, sign: int) -> Branch:
     """The sign branch of t^2 - s t + delta = 0 at delta's precision,
     tagged from the w that delta holds.
 
-    alpha and beta come from the argument representation: a Siegel branch
-    is on-circle by construction and carries the turns of theta/2 +/- psi;
-    a non-Siegel branch carries a certified |alpha/beta| != 1.
+    Every complex ball is a polar ball: s = w_s e^(i theta/2) and
+    a(delta) = 2 delta - s^2 = (2 - w_s^2) delta.  A Siegel branch has
+    alpha, beta = e^(i(theta/2 +/- psi)) and carries their turns; a
+    non-Siegel branch has alpha, beta = u^(+/-1) e^(i theta/2) and carries
+    a certified |alpha/beta| != 1.
     """
     precision_bits = delta.ball.precision_bits
     w = delta.w
     tag = _branch_class(w)
     arg_turns = None
-    with mp.workprec(precision_bits + GUARD_BITS):
-        half_theta = _half(delta.theta)
-        root_half = unit_exp_ball(half_theta, precision_bits)  # delta^(1/2)
-        ws = w if sign > 0 else -w
-        s = ComplexBall(mp.mpc(ws.mid), ws.rad, precision_bits) * root_half
-        if tag == "siegel":
-            # psi = arccos(w_s / 2); alpha, beta = e^(i(theta/2 +/- psi))
-            psi = arccos_ball(_half(ws), precision_bits)
-            up, down = half_theta + psi, half_theta - psi
-            alpha = unit_exp_ball(up, precision_bits)
-            beta = unit_exp_ball(down, precision_bits)
-            ratio = RealBall(mp.mpf(1), alpha.radius + beta.radius)
-            two_pi = two_pi_ball(precision_bits)
-            arg_turns = (turns_mod1(up / two_pi, precision_bits),
-                         turns_mod1(down / two_pi, precision_bits))
-        else:
-            # u real with |u| > 1: u = (w_s + sgn(w_s) sqrt(w_s^2 - 4)) / 2
-            disc = sqrt_ball(ws * ws - 2 * 2, precision_bits)
-            u = _half(ws + disc if ws.mid > 0 else ws - disc)
-            u_ball = ComplexBall(mp.mpc(u.mid), u.rad, precision_bits)
-            alpha, beta = u_ball * root_half, root_half / u_ball
-            ratio = (u * u).abs_ball()
-        return Branch(branch_sign=sign, alpha=alpha, beta=beta, s=s,
-                      a_of_delta=2 * delta.ball - s * s, classification=tag,
-                      ratio_abs=ratio, arg_turns=arg_turns)
+    half_theta = _half(delta.theta)
+    ws = w if sign > 0 else -w
+    if tag == "siegel":
+        # psi = arccos(w_s / 2); alpha, beta = e^(i(theta/2 +/- psi))
+        psi = arccos_ball(_half(ws), precision_bits)
+        up, down = half_theta + psi, half_theta - psi
+        alpha = polar_ball(1, up, precision_bits)
+        beta = polar_ball(1, down, precision_bits)
+        ratio = RealBall(mp.mpf(1),
+                         mp.fadd(alpha.radius, beta.radius, exact=True))
+        two_pi = two_pi_ball(precision_bits)
+        arg_turns = (turns_mod1(up / two_pi, precision_bits),
+                     turns_mod1(down / two_pi, precision_bits))
+    else:
+        # u real with |u| > 1: u = (w_s + sgn(w_s) sqrt(w_s^2 - 4)) / 2
+        disc = sqrt_ball(ws * ws - 2 * 2, precision_bits)
+        u = _half(ws + disc if ws.mid > 0 else ws - disc)
+        alpha = polar_ball(u, half_theta, precision_bits)
+        beta = polar_ball(1 / u, half_theta, precision_bits)
+        ratio = (u * u).abs_ball()
+    return Branch(branch_sign=sign, alpha=alpha, beta=beta,
+                  s=polar_ball(ws, half_theta, precision_bits),
+                  a_of_delta=polar_ball(2 - ws * ws, delta.theta, precision_bits),
+                  classification=tag, ratio_abs=ratio, arg_turns=arg_turns)
 
 
 def eigenvalue_branches(delta: CircleRoot) -> list[Branch]:
@@ -237,8 +239,7 @@ def _cyclotomic_phases(fact: SalemFactorization) -> list[int]:
 
 def _nonsiegel_edge(n: int) -> int:
     """The phase index of the last circle root of E_n before |w| = 2.02."""
-    with mp.workprec(64 + n.bit_length()):
-        k, x = phase_turns(n, mp.mpf(_NONSIEGEL_EDGE) / (2 * mp.pi))
+    k, x = phase_turns(n, Fraction(_NONSIEGEL_EDGE / (2 * math.pi)))
     return k + math.floor(x)
 
 

@@ -81,7 +81,7 @@ def build_product_spec(descriptors: list, joint_mau: MAUSequence,
                        precision_bits: int | None = None) -> ProductSpec:
     """Assemble a spec, consuming the sequence entries in order.
 
-    Each descriptor is ("mcmullen", n) or ("toric", fan-or-name); a
+    Each descriptor is ("mcmullen", n) or ("toric", fan name or path); a
     surface factor consumes its (alpha, beta) pair, a toric factor of
     dimension d consumes d coordinate entries.  The entries must be used
     up exactly -- the construction requires one coherent sequence.
@@ -113,7 +113,7 @@ def build_product_spec(descriptors: list, joint_mau: MAUSequence,
             toric_seen += 1
             if toric_seen > 1:
                 raise SpecError("at most one toric factor is allowed")
-            fan = desc[1] if isinstance(desc[1], Fan) else load_fan(desc[1])
+            fan = load_fan(desc[1])
             cert = check_fan(fan)
             if not cert.passed:
                 raise SpecError("toric factor rejected: " + cert.failures[0])

@@ -4,7 +4,10 @@ Midpoint/radius ball arithmetic on top of mpmath and one certified-root
 primitive, sign_change_root: Newton from a float bracket, then a sign
 change of the function at t -/+ eps checked on balls.  This module alone
 sizes rounding bounds: the other layers compose RealBall operations,
-as_real_ball, int_combination, turns_mod1 and two_pi_ball.
+as_real_ball, int_combination, turns_mod1, two_pi_ball and polar_ball,
+the one constructor of a reported ComplexBall (r e^(i theta) for real
+balls r, theta); ComplexBall arithmetic and eval_ball serve only the
+oracles and the tests.
 
 The production roots of McMullen's E_n come from the Pisot phase, in
 O(1) work per root at any n: E_n(x)(x - 1) = x^(n-2) P(x) - P*(x) with
@@ -42,6 +45,7 @@ import cmath
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache
 
 import mpmath as mp
 
@@ -230,7 +234,9 @@ def turns_mod1(x: RealBall, precision_bits: int) -> RealBall:
 
 @dataclass(frozen=True)
 class ComplexBall:
-    """Certified complex disk: the true value lies within `radius` of the midpoint."""
+    """Certified complex disk: the true value lies within `radius` of the
+    midpoint.  Reported balls come from polar_ball; the arithmetic serves
+    only the oracles and the tests."""
 
     mid: mp.mpc
     radius: mp.mpf
@@ -249,8 +255,6 @@ class ComplexBall:
         with mp.workprec(self.precision_bits + GUARD_BITS):
             return self._wrap(self.mid + o.mid, self.radius + o.radius)
 
-    __radd__ = __add__
-
     def __neg__(self):
         with mp.workprec(_auto_prec(self.mid)):
             return ComplexBall(-self.mid, self.radius, self.precision_bits)
@@ -258,30 +262,12 @@ class ComplexBall:
     def __sub__(self, other):
         return self + (-_as_ball(other, self.precision_bits))
 
-    def __rsub__(self, other):
-        return _as_ball(other, self.precision_bits) + (-self)
-
     def __mul__(self, other):
         o = _as_ball(other, self.precision_bits)
         with mp.workprec(self.precision_bits + GUARD_BITS):
             rad = (abs(self.mid) * o.radius + abs(o.mid) * self.radius
                    + self.radius * o.radius)
             return self._wrap(self.mid * o.mid, rad)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _as_ball(other, self.precision_bits)
-        with mp.workprec(self.precision_bits + GUARD_BITS):
-            denom = abs(o.mid) - o.radius
-            if denom <= 0:
-                raise ZeroDivisionError("divisor ball contains zero")
-            q = self.mid / o.mid
-            rad = (self.radius + abs(q) * o.radius) / denom
-            return self._wrap(q, rad)
-
-    def __rtruediv__(self, other):
-        return _as_ball(other, self.precision_bits) / self
 
     def conjugate(self) -> "ComplexBall":
         with mp.workprec(_auto_prec(self.mid)):
@@ -337,7 +323,8 @@ def _fujiwara_bound(p: IntPoly) -> float:
 
 
 def eval_ball(p: IntPoly, z: ComplexBall) -> ComplexBall:
-    """p(z) as a ball: Horner midpoint plus a derivative-bound radius."""
+    """p(z) as a ball: Horner midpoint plus a derivative-bound radius; for
+    the dense oracle and the tests only."""
     prec = z.precision_bits
     with mp.workprec(prec + GUARD_BITS):
         mid = _horner(p.coeffs, z.mid)
@@ -710,8 +697,10 @@ def phase_turns(n: int, turns) -> tuple[int, float]:
     return k, float(rest) + 1 + phase_tail(2 * math.pi * float(turns))[0] / (2 * math.pi)
 
 
+@cache
 def phase_guess(n: int, j: int) -> mp.mpf:
-    """theta_j, the t in (0, pi) with h(t) = 2 pi j, to about 2^-45.
+    """theta_j, the t in (0, pi) with h(t) = 2 pi j, to about 2^-45;
+    cached, so the witness walk and phase_circle_root share one guess.
 
     t0 + u at 64 + log2(n) bits, with t0 = 2 pi (j - 1)/(n - 1) in mpmath:
     (n - 1)t magnifies the rounding of t by n.  u solves
@@ -803,8 +792,8 @@ def phase_eta(n: int, precision_bits: int) -> RealBall:
     """eta, the real root of E_n in (1, rho), certified by a sign change.
 
     Newton runs on g(x) = P(x) - P*(x) x^(2-n) from the float bracket of
-    _eta_bracket; g is enclosed by eval_ball of P and P* and by x^(2-n)
-    rounded down and up.
+    _eta_bracket; at the dyadic test points P and P* are exact and x^(2-n)
+    is rounded down and up.
     """
     if n < 10:
         raise ValueError("n must be >= 10")
@@ -819,16 +808,18 @@ def phase_eta(n: int, precision_bits: int) -> RealBall:
                + (n - 2) * q * xp / x)
         return num / den
 
+    def exact_value(poly, x):
+        acc = mp.mpf(0)
+        for c in reversed(poly.coeffs):
+            acc = mp.fadd(mp.fmul(acc, x, exact=True), c, exact=True)
+        return acc
+
     def value_ball(x):
-        z = ComplexBall(mp.mpc(x), mp.mpf(0), precision_bits)
-        p, q = eval_ball(PISOT, z), eval_ball(PISOT_STAR, z)
         wp = precision_bits + GUARD_BITS
         down = mp.mpf(mp.libmp.mpf_pow_int(x._mpf_, 2 - n, wp, mp.libmp.round_floor))
         up = mp.mpf(mp.libmp.mpf_pow_int(x._mpf_, 2 - n, wp, mp.libmp.round_ceiling))
-        with mp.workprec(wp):
-            xp = RealBall(down, up - down)   # exact: up / 2 <= down <= up
-        return (RealBall(p.mid.real, p.radius)
-                - RealBall(q.mid.real, q.radius) * xp)
+        xp = RealBall(down, mp.fsub(up, down, exact=True))
+        return exact_value(PISOT, x) - xp * exact_value(PISOT_STAR, x)
 
     return sign_change_root(newton_step, value_ball, lo, hi, precision_bits)
 
@@ -914,9 +905,8 @@ def circle_root(p: IntPoly, lo: float, hi: float,
         return (c[0] + 2 * (cos_t * u1 - u2)) / (-2 * sin_t * v1)
 
     def value_ball(x):
-        z = unit_exp_ball(RealBall(x, mp.mpf(0)), precision_bits)
-        u = unit_exp_ball(RealBall(mp.fmul(-m, x, exact=True), mp.mpf(0)),
-                          precision_bits)
+        z = polar_ball(1, as_real_ball(x), precision_bits)
+        u = polar_ball(1, as_real_ball(mp.fmul(-m, x, exact=True)), precision_bits)
         w = eval_ball(p, z) * u
         return RealBall(w.mid.real, w.radius)
 
@@ -1002,11 +992,18 @@ def arccos_ball(x: RealBall, precision_bits: int) -> RealBall:
         return RealBall(mp.acos(x.mid), x.rad * deriv + _ulp(mp.mp.prec))
 
 
-def unit_exp_ball(theta: RealBall, precision_bits: int) -> ComplexBall:
-    """e^(i theta) as a ball; arc length bounds the radius."""
+def polar_ball(r, theta: RealBall, precision_bits: int) -> ComplexBall:
+    """r e^(i theta) as a ball, for a real ball (or an int) r.
+
+    |r e^(i theta) - r_m e^(i theta_m)| <= r.rad + |r_m| theta.rad, plus
+    16 ulps of max(1, |mid|) for the roundings of the midpoint, which
+    include theta_m's to the working precision while |theta_m| < 4 pi.
+    """
+    r = as_real_ball(r)
     with mp.workprec(precision_bits + GUARD_BITS):
-        mid = mp.exp(mp.mpc(0, theta.mid))
-        return ComplexBall(mid, theta.rad + _ulp(mp.mp.prec), precision_bits)
+        mid = r.mid * mp.exp(mp.mpc(0, theta.mid))
+        rad = r.rad + abs(r.mid) * theta.rad
+        return ComplexBall(mid, rad + _ulp(mp.mp.prec, abs(mid)), precision_bits)
 
 
 def sqrt_ball(x: RealBall, precision_bits: int) -> RealBall:

@@ -162,7 +162,8 @@ def check_fan(fan: Fan) -> FanCertificate:
 
     Completeness for a pure full-dimensional simplicial fan: every facet
     lies in exactly two maximal cones, the two cones sit on opposite
-    sides of the facet, and the adjacency graph is connected.
+    sides of the facet, and the adjacency graph is connected.  In
+    dimension 1 the one facet is the origin, with normal (1,).
     """
     failures: list[str] = []
     d = fan.dim
@@ -174,15 +175,6 @@ def check_fan(fan: Fan) -> FanCertificate:
             failures.append(f"cone {p}: smoothness failure, det = {dt}")
     if fan.n_cones < d + 1:
         failures.append(f"completeness failure: {fan.n_cones} cones < dim+1")
-
-    if d == 1:
-        # facets are trivial in dimension 1: complete iff both half-lines occur
-        rays = {c.generators[0] for c in fan.max_cones}
-        if rays != {(1,), (-1,)}:
-            failures.append("completeness failure: rays do not cover the line")
-        return FanCertificate(dim=d, n_cones=fan.n_cones, passed=not failures,
-                              failures=tuple(failures), cone_dets=dets,
-                              n_facets=len(rays))
 
     facets: dict[frozenset, list[tuple[int, tuple[int, ...]]]] = {}
     for p, cone in enumerate(fan.max_cones):

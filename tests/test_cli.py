@@ -231,6 +231,43 @@ def test_malformed_input_file_is_a_validation_error(argv, content, key,
     assert f"{path}: " in report["error"] and repr(key) in report["error"]
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["mau", "build", "--length", "2"],
+    ["mau", "audit", "SEQ"],
+    ["toric", "fixed-points", "plane", "--mau", "SEQ"],
+    ["product", "classify", "SPEC"],
+])
+def test_non_positive_bound_exits_64(argv, bound, seq_file, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**_SPEC, "mau": str(seq_file)}))
+    files = {"SEQ": str(seq_file), "SPEC": str(spec)}
+    res = run_cli(*(files.get(a, a) for a in argv), "--bound", bound)
+    assert res.returncode == 64
+    assert b"--bound" in res.stderr
+
+
+def test_product_classify_refuses_a_repeated_cone(seq19_739, tmp_path):
+    # the P^1 fan with the cone [1] twice: three cones, not complete
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps({"dim": 1, "max_cones": [[[-1]], [[1]], [[1]]]}))
+    replace(seq19_739, entries=seq19_739.entries[:3]).dump(tmp_path / "seq.json")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"factors": [{"type": "mcmullen", "n": 19},
+                     {"type": "toric", "fan": str(fan)}],
+         "mau": str(tmp_path / "seq.json")}))
+    check = run_cli("toric", "check", str(fan))
+    assert check.returncode == 2
+    assert json.loads(check.stdout)["report"]["complete"] is False
+    # as for any rejected fan, the spec is invalid input
+    res = run_cli("product", "classify", str(spec), "--precision", "512")
+    assert res.returncode == 1
+    report = json.loads(res.stdout)
+    assert report["type"] == "SpecError"
+    assert "lies in 3 cones" in report["error"]
+
+
 def test_product_classify_without_integrality_certificate_exits_2(
         seq19_739, tmp_path):
     # the n = 19 pair relabelled as source 20, whose certificate fails

@@ -1,6 +1,7 @@
 """Eigenvalue pairs at Siegel points and exact integrality certificates."""
 
 import math
+import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import replace
@@ -18,7 +19,7 @@ from salemforge.roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
                               circle_root, circle_root_arguments,
                               circle_root_brackets, eval_ball, isolate_roots,
                               phase_circle_root, phase_eta, pisot_phase,
-                              salem_eta, unit_exp_ball)
+                              polar_ball, salem_eta)
 from salemforge.coxeter import en_from_formula, salem_factor
 from salemforge.mau import mau_build
 from salemforge.product import build_product_spec, product_entropy
@@ -274,8 +275,8 @@ def test_witness_and_eta_balls_hold_a_sign_change():
     def g_ball(x):
         with mp.workprec(prec + GUARD_BITS):
             t, r = _endpoint(x, prec)
-            z = unit_exp_ball(RealBall(t, r), prec)
-            u = unit_exp_ball(RealBall(-m * t, m * r), prec)
+            z = polar_ball(1, RealBall(t, r), prec)
+            u = polar_ball(1, RealBall(-m * t, m * r), prec)
         w = eval_ball(phi, z) * u
         return RealBall(w.mid.real, w.radius)
 
@@ -382,6 +383,50 @@ def test_pair_data_builds_one_branch_per_witness(monkeypatch):
         (-1, "siegel"), (-1, "nonsiegel")]
     assert (d.alpha_arg_turns, d.beta_arg_turns) == built[0].arg_turns
     assert built[1].arg_turns is None
+
+
+_COMPLEX_FIELDS = ("alpha", "beta", "s", "a_of_delta", "alpha_prime",
+                   "beta_prime")
+
+
+@pytest.fixture(scope="module")
+def data_1024():
+    return {(n, sign): mcmullen_data(n, 1024, sign)
+            for n in (13, 19, 739, 3259) for sign in (1, -1)}
+
+
+@pytest.mark.parametrize("precision_bits", (32, 64, 256))
+def test_pair_balls_contain_the_1024_bit_values(data_1024, precision_bits):
+    for (n, sign), exact in data_1024.items():
+        d = mcmullen_data(n, precision_bits, sign)
+        assert d.delta.index == exact.delta.index
+        assert d.delta_prime.index == exact.delta_prime.index
+        for name in _COMPLEX_FIELDS:
+            ball, ref = getattr(d, name), getattr(exact, name)
+            with mp.workprec(1200):
+                assert abs(ball.mid - ref.mid) + ref.radius <= ball.radius, \
+                    (n, sign, name)
+
+
+def test_mcmullen_data_computes_each_phase_guess_once():
+    """witness_roots preselects on phase_guess(n, j) and phase_circle_root
+    starts from it: each (n, j) is computed once."""
+    code = roots.phase_guess.__wrapped__.__code__
+    computed = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            computed.append((frame.f_locals["n"], frame.f_locals["j"]))
+
+    roots.phase_guess.cache_clear()
+    sys.setprofile(profile)
+    try:
+        for n in (19, 739):
+            mcmullen_data(n, 64)
+    finally:
+        sys.setprofile(None)
+    assert computed and len(computed) == len(set(computed))
+    assert roots.phase_guess.cache_info().hits >= 4    # one per certified root
 
 
 def test_eigenvalues_lie_on_salem_surface(phi14, data19):

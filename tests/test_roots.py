@@ -9,13 +9,13 @@ import pytest
 import salemforge
 from salemforge.polyring import IntPoly, poly, monomial, ONE
 from salemforge.roots import (ComplexBall, NotSalemError, RealBall,
-                              _classify_tags, _eta_bracket,
+                              _classify_tags, as_real_ball, _eta_bracket,
                               circle_root_arguments,
                               classify_salem, entropy_from_charpoly, eval_ball,
                               isolate_roots, log_ball, phase_circle_root,
                               phase_eta, phase_guess, phase_tail, pisot_phase,
-                              salem_eta, sin_ball, unit_circle_distance,
-                              yun_squarefree)
+                              polar_ball, salem_eta, sin_ball,
+                              unit_circle_distance, yun_squarefree)
 from salemforge.coxeter import en_from_formula, salem_factor
 
 PHI_14 = IntPoly([1, -1, 0, -1, 1, 0, 0, -1, 0, 0, 1, -1, 0, -1, 1])
@@ -70,6 +70,23 @@ def test_only_roots_reads_the_working_precision():
     src = Path(salemforge.__file__).parent
     for name in ("mcmullen", "mau", "toric", "product"):
         assert "mp.mp.prec" not in (src / f"{name}.py").read_text(), name
+    # mcmullen builds its complex balls with polar_ball alone
+    text = (src / "mcmullen.py").read_text()
+    for token in ("workprec", "GUARD_BITS", "ComplexBall("):
+        assert token not in text, token
+
+
+def test_polar_ball_contains_every_corner():
+    with mp.workprec(700):
+        theta = RealBall(mp.mpf(5) / 7, mp.mpf(2) ** -220)
+        moduli = (RealBall(-mp.sqrt(3), mp.mpf(2) ** -200), as_real_ball(3))
+    for r in moduli:
+        z = polar_ball(r, theta, 128)
+        with mp.workprec(800):
+            for x in (r.lo, r.hi):
+                for t in (theta.lo, theta.hi):
+                    assert abs(x * mp.expj(t) - z.mid) <= z.radius
+    assert polar_ball(3, theta, 256).radius < 4 * theta.rad
 
 
 def test_real_ball_mul_signs():
@@ -92,12 +109,6 @@ def test_complex_ball_arithmetic_residual_precision():
         z = ComplexBall(mp.exp(mp.mpc(0, mp.mpf(1) / 3)), mp.mpf(2) ** -300, 256)
     w = z * z.conjugate() - 1
     assert w.abs_ball().hi < mp.mpf(2) ** -250
-
-
-def test_complex_ball_division_by_zero_ball():
-    z = ComplexBall.exact(0, 64)
-    with pytest.raises(ZeroDivisionError):
-        ComplexBall.exact(1, 64) / z
 
 
 def test_eval_ball_contains_true_value():

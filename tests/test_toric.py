@@ -81,6 +81,11 @@ def test_d1_completeness():
     assert good.passed
     bad = check_fan(Fan(dim=1, max_cones=(Cone(((1,),)), Cone(((1,),)))))
     assert not bad.passed
+    # both half-lines occur, but one twice: the origin lies in 3 cones
+    repeated = check_fan(Fan(dim=1, max_cones=(
+        Cone(((-1,),)), Cone(((1,),)), Cone(((1,),)))))
+    assert not repeated.passed
+    assert good.n_facets == 1
 
 
 def test_solid_angles_sum_to_full_circle():
