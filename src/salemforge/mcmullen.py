@@ -27,7 +27,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import mpmath as mp
@@ -89,11 +89,22 @@ class Branch:
     branch_sign: int
     alpha: ComplexBall
     beta: ComplexBall
-    s: ComplexBall             # alpha + beta
-    a_of_delta: ComplexBall    # coefficient in x^2 + a(delta) x + delta^2
     classification: str        # "siegel" | "nonsiegel"
     ratio_abs: RealBall        # certified |alpha / beta|
     arg_turns: Optional[tuple[RealBall, RealBall]]   # Siegel: arg / 2 pi
+    delta: CircleRoot
+    w_s: RealBall              # branch_sign * w
+
+    # built when read: s = alpha + beta = w_s e^(i theta/2), and a(delta) =
+    # 2 delta - s^2 = (2 - w_s^2) delta in x^2 + a(delta) x + delta^2
+    @cached_property
+    def s(self) -> ComplexBall:
+        return polar_ball(self.w_s, _half(self.delta.theta), self.delta.ball.precision_bits)
+
+    @cached_property
+    def a_of_delta(self) -> ComplexBall:
+        return polar_ball(2 - self.w_s * self.w_s, self.delta.theta,
+                          self.delta.ball.precision_bits)
 
 
 def _half(x: RealBall) -> RealBall:
@@ -126,8 +137,8 @@ def eigenvalue_branch(delta: CircleRoot, sign: int) -> Branch:
     """The sign branch of t^2 - s t + delta = 0 at delta's precision,
     tagged from the w that delta holds.
 
-    Every complex ball is a polar ball: s = w_s e^(i theta/2) and
-    a(delta) = 2 delta - s^2 = (2 - w_s^2) delta.  A Siegel branch has
+    Every complex ball is a polar ball; s and a(delta) are built only
+    when read (Branch.s, Branch.a_of_delta).  A Siegel branch has
     alpha, beta = e^(i(theta/2 +/- psi)) and carries their turns; a
     non-Siegel branch has alpha, beta = u^(+/-1) e^(i theta/2) and carries
     a certified |alpha/beta| != 1.
@@ -157,9 +168,8 @@ def eigenvalue_branch(delta: CircleRoot, sign: int) -> Branch:
         beta = polar_ball(1 / u, half_theta, precision_bits)
         ratio = (u * u).abs_ball()
     return Branch(branch_sign=sign, alpha=alpha, beta=beta,
-                  s=polar_ball(ws, half_theta, precision_bits),
-                  a_of_delta=polar_ball(2 - ws * ws, delta.theta, precision_bits),
-                  classification=tag, ratio_abs=ratio, arg_turns=arg_turns)
+                  classification=tag, ratio_abs=ratio, arg_turns=arg_turns,
+                  delta=delta, w_s=ws)
 
 
 def eigenvalue_branches(delta: CircleRoot) -> list[Branch]:
@@ -352,6 +362,17 @@ class McMullenPairData(Report):
     ratio_prime: RealBall             # certified |alpha' / beta'|
 
 
+@cache
+def _pair_core(n: int, precision_bits: int) -> tuple:
+    """The sign-free pair data (delta, delta', certificate, log eta), once
+    per (n, precision_bits); a failure raises and is not cached."""
+    delta, delta_prime = witness_roots(salem_factor(n), precision_bits)
+    cert = integrality_certificate(n)
+    if not cert.passed:
+        raise IntegralityFailure(f"integrality certificate failed for n={n}")
+    return delta, delta_prime, cert, log_ball(phase_eta(n, precision_bits), precision_bits)
+
+
 def mcmullen_data(n: int, precision_bits: int = 256,
                   branch_sign: int = +1) -> McMullenPairData:
     """Full eigenvalue data of the pair for n = 1 mod 6 at a Siegel root.
@@ -359,22 +380,19 @@ def mcmullen_data(n: int, precision_bits: int = 256,
     The two witnesses (witness_roots) and eta (phase_eta) come from the
     Pisot phase of E_n, at every degree; phi is neither built nor
     evaluated.  The split of E_n is read from coxeter's per-n cache.
+    The witnesses, eta and the certificate are cached by exactly
+    (n, precision_bits); the sign builds only its two branches.
     """
     if n % 6 != 1:
         raise ValueError(f"n must be 1 mod 6, got {n}")
     if n < 13:
         raise ValueError("n must be at least 13")
-    delta, delta_prime = witness_roots(salem_factor(n), precision_bits)
+    delta, delta_prime, cert, entropy = _pair_core(n, precision_bits)
 
     # one branch per witness, from the w each witness holds; delta's is
     # Siegel: witness_roots certified that w, and the class reads only |w|
     br = eigenvalue_branch(delta, branch_sign)
     brp = eigenvalue_branch(delta_prime, branch_sign)
-
-    cert = integrality_certificate(n)
-    if not cert.passed:
-        raise IntegralityFailure(f"integrality certificate failed for n={n}")
-    entropy = log_ball(phase_eta(n, precision_bits), precision_bits)
 
     return McMullenPairData(
         n=n, delta=delta, branch_sign=branch_sign,

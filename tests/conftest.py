@@ -2,9 +2,17 @@
 
 import pytest
 
+from salemforge import mcmullen
 from salemforge.coxeter import salem_factor
 from salemforge.mcmullen import mcmullen_data
 from salemforge.mau import mau_build, mau_seed
+
+
+@pytest.fixture(autouse=True)
+def cold_pair_data_cache():
+    """Each test starts with no cached (n, precision) pair data, so a test
+    that counts calls or expects a refusal runs the code, not a cache hit."""
+    mcmullen._pair_core.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import pytest
 
+from salemforge import cli, mcmullen
+
 PHI_14 = [1, -1, 0, -1, 1, 0, 0, -1, 0, 0, 1, -1, 0, -1, 1]
 
 
@@ -133,6 +135,29 @@ def test_byte_identical_reruns():
     b = run_cli("mcmullen", "data", "--n", "19")
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_mcmullen_data_reports_do_not_depend_on_call_history(tmp_path):
+    """In one process, a report is the same bytes from a cold pair-data
+    cache as after the other sign and the other precision at its n, with
+    the calls in either order."""
+    out = tmp_path / "data.json"
+
+    def report(n, precision, sign):
+        assert cli.main(["mcmullen", "data", "--n", str(n), "--precision",
+                         str(precision), "--branch", str(sign),
+                         "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    keys = [(n, precision, sign) for n in (13, 43, 739)
+            for precision in (64, 1024) for sign in (1, -1)]
+    cold = {}
+    for key in keys:
+        mcmullen._pair_core.cache_clear()
+        cold[key] = report(*key)
+    for order in (keys, keys[::-1]):
+        mcmullen._pair_core.cache_clear()
+        assert {key: report(*key) for key in order} == cold
 
 
 def test_real_fields_are_strings_with_radius():

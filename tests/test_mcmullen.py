@@ -165,8 +165,9 @@ def test_steering_evaluates_no_spare_multiprecision_phase(monkeypatch, sign):
 
 
 def test_split_is_computed_once_per_n(monkeypatch):
-    """Eight pair-data calls at one n, as siegel_scan makes them, split
-    E_n once: one exact test per divisor d >= 2 of 1800."""
+    """Pair-data calls at one n over four precisions and both signs (the
+    siegel_scan pattern) certify each precision once and split E_n once:
+    one exact test per divisor d >= 2 of 1800."""
     calls = Counter()
     vanishes = coxeter._vanishes_at_zeta
 
@@ -180,6 +181,27 @@ def test_split_is_computed_once_per_n(monkeypatch):
         for sign in (1, -1):
             assert mcmullen_data(43, precision_bits, sign).siegel_root
     assert calls == {43: 35}
+
+
+def test_other_sign_builds_only_its_branches(monkeypatch):
+    """The witnesses, eta and the certificate at (n, precision) are
+    certified once: the second sign makes only its two branches."""
+    assert mcmullen_data(43, 256, +1).siegel_root
+    calls = Counter()
+
+    def count(name):
+        original = getattr(mcmullen, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(mcmullen, name, counted)
+
+    for name in ("phase_circle_root", "phase_eta", "integrality_certificate",
+                 "eigenvalue_branch"):
+        count(name)
+    assert mcmullen_data(43, 256, -1).siegel_root
+    assert calls == {"eigenvalue_branch": 2}
 
 
 @pytest.mark.parametrize("n", range(13, 134, 6))
