@@ -17,7 +17,7 @@ import click
 from .coxeter import (FormulaConsistencyError, StructureError,
                       en_from_formula, en_from_matrix, salem_factor,
                       salem_pattern)
-from .roots import IsolationError, NotSalemError
+from .roots import IsolationError
 from .mcmullen import (IntegralityFailure, NoSiegelRoot,
                        integrality_certificate, mcmullen_data)
 from .mau import (DegreeCertificateFailure, IndependenceFalsified,
@@ -46,8 +46,8 @@ _VALIDATION_ERRORS = (ValueError, PrecisionTooLow, IndependenceEvidenceMissing,
                       FileNotFoundError)
 _CONSISTENCY_ERRORS = (ConsistencyFailure, FormulaConsistencyError,
                        StructureError, DegreeCertificateFailure,
-                       WitnessFailure, IndependenceFalsified, NotSalemError,
-                       IsolationError, NoSiegelRoot, IntegralityFailure)
+                       WitnessFailure, IndependenceFalsified, IsolationError,
+                       NoSiegelRoot, IntegralityFailure)
 
 
 def _emit(report: dict, out, precision: int = 0, bound: int = 0,

@@ -49,12 +49,36 @@ def test_coxeter_factor_19():
     _assert_no_bare_floats(report)
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # numpy serves only the dense oracle grid, roots.circle_root_brackets
-    res = subprocess.run([sys.executable, "-c", "import sys, salemforge.cli; "
-                          "print('numpy' in sys.modules)"], capture_output=True)
-    assert res.returncode == 0
-    assert res.stdout.strip() == b"False"
+def test_cli_import_leaves_numpy_unloaded(seq19_739, tmp_path):
+    # numpy serves only the dense oracle grid, oracle.circle_root_brackets,
+    # and no production path loads the oracle module: one interpreter runs
+    # every verb below and then has loaded neither
+    seq19_739.dump(tmp_path / "seq19.json")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"factors": [{"type": "mcmullen", "n": 19},
+                                            {"type": "toric", "fan": "plane"}],
+                                "mau": str(tmp_path / "seq19.json")}))
+    seq = str(tmp_path / "seq.json")
+    runs = [["mau", "build", "--length", "2", "--out", seq],
+            ["coxeter", "factor", "--n", "19"],
+            ["mcmullen", "data", "--n", "739"],
+            ["mcmullen", "certificate", "--n", "19"],
+            ["mau", "audit", seq],
+            ["toric", "check", "plane"],
+            ["toric", "fixed-points", "plane", "--mau", seq],
+            ["product", "classify", str(spec), "--precision", "512"],
+            ["product", "entropy", str(spec), "--precision", "512"]]
+    runs = [argv if "--out" in argv else [*argv, "--out", str(tmp_path / f"{i}.json")]
+            for i, argv in enumerate(runs)]
+    script = ("import json, sys\n"
+              "from salemforge.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert main(argv) == 0, argv\n"
+              "print('numpy' in sys.modules, 'salemforge.oracle' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                         capture_output=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == b"False False"
 
 
 def test_coxeter_oracle_match():

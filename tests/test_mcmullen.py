@@ -11,19 +11,18 @@ import pytest
 
 from salemforge.mcmullen import (CircleRoot, NoSiegelRoot, PoleError,
                                  eigenvalue_branches, integrality_certificate,
-                                 mcmullen_data, scan_siegel_roots,
-                                 witness_roots, _branch_class,
+                                 mcmullen_data, witness_roots, _branch_class,
                                  _cyclotomic_phases, _nonsiegel_edge,
                                  _w_interval, _NONSIEGEL_EDGE)
 from salemforge.roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
-                              circle_root, circle_root_arguments,
-                              circle_root_brackets, eval_ball, isolate_roots,
-                              phase_circle_root, phase_eta, pisot_phase,
-                              polar_ball, salem_eta)
+                              phase_circle_root, phase_eta, polar_ball)
+from salemforge.oracle import (circle_root, circle_root_arguments,
+                               circle_root_brackets, eval_ball, isolate_roots,
+                               pisot_phase, salem_eta, scan_siegel_roots)
 from salemforge.coxeter import en_from_formula, salem_factor
 from salemforge.mau import mau_build
 from salemforge.product import build_product_spec, product_entropy
-from salemforge import coxeter, mcmullen, roots
+from salemforge import coxeter, mcmullen, oracle, roots
 
 TOL = mp.mpf(2) ** -100
 
@@ -153,7 +152,7 @@ def test_steering_evaluates_no_spare_multiprecision_phase(monkeypatch, sign):
             return original(*args)
         monkeypatch.setattr(module, name, counted)
 
-    for module in (roots, mcmullen):
+    for module in (roots, mcmullen, oracle):
         if hasattr(module, "pisot_phase"):
             count(module, "pisot_phase")
     count(mcmullen, "phase_circle_root")
@@ -248,7 +247,7 @@ def test_production_paths_evaluate_no_dense_phi(monkeypatch):
         raise AssertionError("dense E_n or a dense circle scan was built")
 
     monkeypatch.setattr(roots, "_horner", small_only)
-    monkeypatch.setattr(roots, "circle_root_brackets", refuse)
+    monkeypatch.setattr(oracle, "circle_root_brackets", refuse)
     monkeypatch.setattr(coxeter, "en_from_formula", refuse)
     for n in (31, 739):
         assert mcmullen_data(n, 128).siegel_root

@@ -123,7 +123,8 @@ def test_entropy_additivity(spec_plane, spec_double, seq4):
     single = build_product_spec([("mcmullen", 739)], seq4.truncate(2))
     e1 = product_entropy(single)
     e2 = product_entropy(spec_double)
-    from salemforge.roots import salem_eta, log_ball
+    from salemforge.oracle import salem_eta
+    from salemforge.roots import log_ball
     phi2 = salem_factor(seq4.entries[2].source_n).salem_candidate
     expect = e1 + log_ball(salem_eta(phi2, 512), 512)
     assert abs(e2.mid - expect.mid) <= e2.rad + expect.rad + mp.mpf(2) ** -400

@@ -8,14 +8,14 @@ import pytest
 
 import salemforge
 from salemforge.polyring import IntPoly, poly, monomial, ONE
-from salemforge.roots import (ComplexBall, NotSalemError, RealBall,
-                              _classify_tags, as_real_ball, _eta_bracket,
-                              circle_root_arguments,
-                              classify_salem, entropy_from_charpoly, eval_ball,
-                              isolate_roots, log_ball, phase_circle_root,
-                              phase_eta, phase_guess, phase_tail, pisot_phase,
-                              polar_ball, salem_eta, sin_ball,
-                              unit_circle_distance, yun_squarefree)
+from salemforge.roots import (ComplexBall, RealBall, as_real_ball, _eta_bracket,
+                              log_ball, phase_circle_root, phase_eta,
+                              phase_guess, phase_tail, polar_ball, sin_ball)
+from salemforge.oracle import (NotSalemError, _classify_tags,
+                               circle_root_arguments, classify_salem,
+                               entropy_from_charpoly, eval_ball, isolate_roots,
+                               pisot_phase, salem_eta, unit_circle_distance,
+                               yun_squarefree)
 from salemforge.coxeter import en_from_formula, salem_factor
 
 PHI_14 = IntPoly([1, -1, 0, -1, 1, 0, 0, -1, 0, 0, 1, -1, 0, -1, 1])
@@ -74,6 +74,18 @@ def test_only_roots_reads_the_working_precision():
     text = (src / "mcmullen.py").read_text()
     for token in ("workprec", "GUARD_BITS", "ComplexBall("):
         assert token not in text, token
+
+
+def test_oracle_names_resolve_lazily_from_roots_and_mcmullen():
+    from salemforge import mcmullen, oracle, roots
+    for name in ("classify_salem", "entropy_from_charpoly", "isolate_roots",
+                 "salem_eta", "circle_root_arguments"):
+        assert getattr(roots, name) is getattr(oracle, name), name
+    assert mcmullen.scan_siegel_roots is oracle.scan_siegel_roots
+    for module, name in ((roots, "pisot_phase"), (roots, "circle_root_brackets"),
+                         (roots, "NotSalemError"), (mcmullen, "NotSalemInput")):
+        with pytest.raises(AttributeError):
+            getattr(module, name)
 
 
 def test_polar_ball_contains_every_corner():
