@@ -8,8 +8,8 @@ gives the real quantity w = +/- 2cos(theta/2)/(1+2cos theta): the branch
 is Siegel exactly when |w| < 2 (both eigenvalues on the circle) and
 certified off-circle when |w| > 2.  The witness roots delta, delta' and
 the Salem number eta come from the Pisot phase of E_n (roots.py), in O(1)
-work per root at any degree: the float tail of the phase and the w of a
-float guess pick the candidates and their phase indices, and only the
+work per root at any degree: the float tail of the phase and the w of
+the mpf guess pick the candidates and their phase indices, and only the
 certified roots and their certified w are reported.  The pair data
 builds one branch per witness, from the w the witness holds; the Siegel
 branch's psi = arccos(w/2) gives alpha, beta and their turns
@@ -34,9 +34,9 @@ import mpmath as mp
 from .coxeter import (PISOT, PISOT_STAR, FormulaConsistencyError,
                       SalemFactorization, salem_factor)
 from .roots import (ComplexBall, IsolationError, RealBall, Report,
-                    arccos_ball, cos_ball, log_ball, phase_circle_root,
-                    phase_eta, phase_guess, phase_turns, polar_ball,
-                    sqrt_ball, turns_mod1, two_pi_ball)
+                    arccos_ball, as_real_ball, cos_ball, guess_bits, log_ball,
+                    phase_circle_root, phase_eta, phase_guess, phase_turns,
+                    polar_ball, sqrt_ball, turns_mod1, two_pi_ball)
 
 
 class PoleError(ValueError):
@@ -167,14 +167,11 @@ def eigenvalue_branches(delta: CircleRoot) -> list[Branch]:
     return [eigenvalue_branch(delta, sign) for sign in (+1, -1)]
 
 
-# |w| = 2.02 at cos(t/2) = (1 + sqrt(1 + 4 W^2)) / (4 W), W = 2.02, t < 2 pi/3;
-# |w| increases on (0, 2 pi/3), so every root before this t has |w| < 2.02
-_NONSIEGEL_EDGE = 2.0 * math.acos((1.0 + math.sqrt(1.0 + 4 * 2.02 ** 2)) / (4 * 2.02))
-
-
-def _w_float(t: float) -> float:
-    """w at t in double precision: it steers the witness walk only."""
-    return 2 * math.cos(t / 2) / (1 + 2 * math.cos(t))
+def _w_guess(n: int, j: int) -> mp.mpf:
+    """|w| at the mpf guess of theta_j, at the precision the guess
+    carries (roots.guess_bits): it steers the witness walk only."""
+    t, bits = as_real_ball(phase_guess(n, j)), guess_bits(n)
+    return (2 * cos_ball(_half(t), bits) / (1 + 2 * cos_ball(t, bits))).abs_ball().mid
 
 
 def _cyclotomic_phases(fact: SalemFactorization) -> list[int]:
@@ -206,8 +203,18 @@ def _cyclotomic_phases(fact: SalemFactorization) -> list[int]:
 
 
 def _nonsiegel_edge(n: int) -> int:
-    """The phase index of the last circle root of E_n before |w| = 2.02."""
-    k, x = phase_turns(n, Fraction(_NONSIEGEL_EDGE / (2 * math.pi)))
+    """The phase index of the last circle root of E_n before |w| = 101/50.
+
+    |w| = W at cos(t/2) = (1 + sqrt(1 + 4 W^2)) / (4 W), here
+    (50 + sqrt(43304)) / 404, with t < 2 pi/3; |w| increases on
+    (0, 2 pi/3), so every root before this t has |w| < 101/50.  The
+    point is taken at guess_bits(n), as (n - 1)t magnifies its rounding
+    by n.
+    """
+    bits = guess_bits(n)
+    cos_half = (50 + sqrt_ball(as_real_ball(43304), bits)) / 404
+    turns = arccos_ball(cos_half, bits) / _half(two_pi_ball(bits))
+    k, x = phase_turns(n, turns.mid)
     return k + math.floor(x)
 
 
@@ -217,11 +224,12 @@ def witness_roots(fact: SalemFactorization, precision_bits: int
     the Salem factor phi of E_n, n = fact.n, with their scan indices.
 
     Candidates go by phase index j, skipping the cyclotomic ones; the w
-    of the float guess of theta_j preselects them (|w| < 1.98 Siegel,
-    > 2.02 non-Siegel), and only those are certified (phase_circle_root).
+    of the mpf guess of theta_j preselects them (|w| < 99/50 Siegel,
+    > 101/50 non-Siegel, both exact), and only those are certified
+    (phase_circle_root).
     The first whose class, read from its certified w, agrees is returned,
     holding that w.  The Siegel walk starts at j = 2; the non-Siegel walk
-    at the last root before |w| = 2.02.  Index = j - 1 - (cyclotomic
+    at the last root before |w| = 101/50.  Index = j - 1 - (cyclotomic
     roots before it), the position among the roots of phi in (0, pi).
     """
     n = fact.n
@@ -229,7 +237,7 @@ def witness_roots(fact: SalemFactorization, precision_bits: int
 
     def witness(tag: str, first: int, preselect) -> CircleRoot:
         for j in range(max(first, 2), n // 2 + 1):
-            if j in cyc or not preselect(abs(_w_float(float(phase_guess(n, j))))):
+            if j in cyc or not preselect(mp.fmul(50, _w_guess(n, j), exact=True)):
                 continue
             root = CircleRoot.from_theta(phase_circle_root(n, j, precision_bits),
                                          precision_bits,
@@ -238,8 +246,8 @@ def witness_roots(fact: SalemFactorization, precision_bits: int
                 return root
         raise NoSiegelRoot(f"no certified {tag} root found")
 
-    return (witness("siegel", 2, lambda w: w < 1.98),
-            witness("nonsiegel", _nonsiegel_edge(n), lambda w: w > 2.02))
+    return (witness("siegel", 2, lambda w50: w50 < 99),
+            witness("nonsiegel", _nonsiegel_edge(n), lambda w50: w50 > 101))
 
 
 # -- exact integrality certificate --------------------------------------

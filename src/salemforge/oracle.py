@@ -2,9 +2,11 @@
 
 No production module imports this one: roots and mcmullen resolve the
 few names the acceptance gate reads from them lazily, and a CLI run
-never loads it.  Three oracles stay.  pisot_phase is the phase h(t) of
+never loads it.  Four oracles stay.  pisot_phase is the phase h(t) of
 E_n itself in multiprecision, the reference for the float stage of
-roots.  The dense oracle works on any monic reciprocal polynomial:
+roots.  full_precision_root is roots.sign_change_root with every Newton
+step at the full working precision, the reference for its precision
+ladder.  The dense oracle works on any monic reciprocal polynomial:
 circle_root_brackets (a float scan of G(t) = Re(e^(-imt) p(e^(it)))),
 circle_root, circle_root_arguments and salem_eta, all certified through
 roots.sign_change_root, and scan_siegel_roots, which certifies every
@@ -70,7 +72,8 @@ def eval_ball(p: IntPoly, z: ComplexBall) -> ComplexBall:
         coeff_sum = sum(abs(c) for c in p.coeffs)
         rad += (4 * p.degree * coeff_sum * max(mp.mpf(1), r) ** p.degree
                 * mp.mpf(2) ** (-prec - GUARD_BITS + 6))
-        return ComplexBall(mid, rad + _ulp(mp.mp.prec, abs(mid)), prec)
+        ulp = mp.make_mpf(_ulp(mp.mp.prec, abs(mid)._mpf_))
+        return ComplexBall(mid, rad + ulp, prec)
 
 
 # -- squarefree machinery ---------------------------------------------
@@ -338,6 +341,33 @@ def pisot_phase(n: int, t) -> tuple[mp.mpf, mp.mpf]:
     z = mp.mpc(c, s)
     dh = n - 5 + 2 * (z * (3 * z * z - 1) / (z ** 3 - z - 1)).real
     return h, dh
+
+
+def full_precision_root(newton_step, value_ball, lo: float, hi: float,
+                        precision_bits: int) -> RealBall:
+    """roots.sign_change_root with no precision ladder: every Newton step
+    runs at precision_bits + GUARD_BITS until |step| < eps."""
+    e = precision_bits + GUARD_BITS // 2
+    with mp.workprec(precision_bits + GUARD_BITS):
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        t, tol = (lo + hi) / 2, mp.ldexp(1, -e)
+        try:
+            for _ in range(100):
+                step = newton_step(t)
+                t -= step
+                if abs(step) < tol:
+                    break
+        except ZeroDivisionError:
+            raise IsolationError("derivative vanished during Newton") from None
+        if not lo <= t <= hi:
+            raise IsolationError("Newton left the bracket")
+        k = int(mp.nint(mp.ldexp(t, e)))
+        below = value_ball(mp.ldexp(k - 1, -e))
+        above = value_ball(mp.ldexp(k + 1, -e))
+        if not ((below.is_negative() and above.is_positive())
+                or (below.is_positive() and above.is_negative())):
+            raise IsolationError(f"no certified sign change around {mp.nstr(t, 17)}")
+        return RealBall(mp.ldexp(k, -e), tol)
 
 
 # -- the dense oracle: circle roots and eta of any reciprocal polynomial ----

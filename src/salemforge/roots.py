@@ -1,13 +1,25 @@
 """Ball arithmetic and the certified roots of E_n from the Pisot phase.
 
 Midpoint/radius ball arithmetic on top of mpmath and one certified-root
-primitive, sign_change_root: Newton from a float bracket, then a sign
-change of the function at t -/+ eps checked on balls.  This module alone
-sizes rounding bounds: the other layers compose RealBall operations,
-as_real_ball, int_combination, turns_mod1, two_pi_ball and polar_ball,
-the one constructor of a reported ComplexBall (r e^(i theta) for real
-balls r, theta); ComplexBall arithmetic serves only the oracles
-(oracle.py) and the tests.
+primitive, sign_change_root: Newton from a float bracket on a precision
+ladder, then a sign change of the function at t -/+ eps checked on
+balls.  This module alone sizes rounding bounds: the other layers
+compose RealBall operations, as_real_ball, int_combination, turns_mod1,
+two_pi_ball and polar_ball, the one constructor of a reported
+ComplexBall (r e^(i theta) for real balls r, theta); ComplexBall
+arithmetic serves only the oracles (oracle.py) and the tests.
+
+Ball kernels: the RealBall operators and the ball helpers (sin_ball,
+cos_ball, arccos_ball, sqrt_ball, log_ball, polar_ball, turns_mod1,
+two_pi_ball, int_combination) compute on the _mpf_ tuples of their
+operands with mpmath.libmp, each call at an explicit precision with
+round-to-nearest, and make an mpf only of their results: no workprec
+block, no intermediate mpf.  Each does the roundings of the mpf-operator
+formula inside mp.workprec that states it, in the same order and at the
+same precision (for + - * /, 16 bits above the wider of the ambient
+mp.mp.prec and the operands' mantissas), so every midpoint and radius is
+that formula's to the bit; tests/test_roots.py keeps the formulas as its
+reference.
 
 The production roots of McMullen's E_n come from the Pisot phase, in
 O(1) work per root at any n: E_n(x)(x - 1) = x^(n-2) P(x) - P*(x) with
@@ -35,19 +47,32 @@ from fractions import Fraction
 from functools import cache
 
 import mpmath as mp
+from mpmath.libmp import (fone, from_int, ftwo, fzero, mpf_abs, mpf_acos,
+                          mpf_add, mpf_cos, mpf_cos_sin, mpf_div, mpf_floor,
+                          mpf_ge, mpf_gt, mpf_hypot, mpf_le, mpf_log, mpf_mul,
+                          mpf_mul_int, mpf_neg, mpf_pi, mpf_pos, mpf_rdiv_int,
+                          mpf_shift, mpf_sin, mpf_sqrt, mpf_sub, mpf_sum,
+                          round_floor, round_nearest as _RN)
 
 from .coxeter import PISOT, PISOT_STAR
 
 GUARD_BITS = 80
+_mpf = mp.make_mpf
 
 
 class IsolationError(RuntimeError):
     """Root isolation failed at the requested precision after retries."""
 
 
-def _ulp(prec: int, *vals) -> mp.mpf:
-    scale = max([mp.mpf(1)] + [abs(v) for v in vals])
-    return mp.ldexp(scale, -prec + 4)
+def _ulp(prec: int, *vals) -> tuple:
+    """2^(4 - prec) max(1, |v|, ...) for _mpf_ tuples v, each |v| rounded
+    to prec bits, as an _mpf_ tuple."""
+    scale = fone
+    for v in vals:
+        a = mpf_abs(v, prec, _RN)
+        if mpf_gt(a, scale):
+            scale = a
+    return mpf_shift(scale, 4 - prec)
 
 
 def _mantissa_bits(v) -> int:
@@ -58,10 +83,15 @@ def _mantissa_bits(v) -> int:
     return 53
 
 
-def _auto_prec(*vals) -> int:
-    """Working precision wide enough that mpmath rounding cannot eat the
-    operands' mantissas; mpmath rounds every operation to context prec."""
-    return max([mp.mp.prec] + [_mantissa_bits(v) for v in vals]) + 16
+def _auto_prec(*bits) -> int:
+    """Working precision wide enough that rounding cannot eat mantissas of
+    these bit counts: the ambient precision or the widest mantissa,
+    whichever is larger, plus 16 bits."""
+    wp = mp.mp.prec
+    for b in bits:
+        if b > wp:
+            wp = b
+    return wp + 16
 
 
 def _str_full(v) -> str:
@@ -74,8 +104,7 @@ def _str_outward(rad) -> str:
     """Radius as a short decimal string, padded so parsing never shrinks it."""
     if rad == 0:
         return "0.0"
-    with mp.workprec(_auto_prec(rad)):
-        return mp.nstr(rad * (1 + mp.mpf(2) ** -12), 12)
+    return mp.nstr(mp.fmul(rad, 1 + 2 ** -12, exact=True), 12)
 
 
 @dataclass(frozen=True)
@@ -87,14 +116,15 @@ class RealBall:
 
     @property
     def lo(self) -> mp.mpf:
-        return mp.fsub(self.mid, self.rad, exact=True)
+        return _mpf(mpf_sub(self.mid._mpf_, self.rad._mpf_))
 
     @property
     def hi(self) -> mp.mpf:
-        return mp.fadd(self.mid, self.rad, exact=True)
+        return _mpf(mpf_add(self.mid._mpf_, self.rad._mpf_))
 
     def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
+        m, r = self.mid._mpf_, self.rad._mpf_
+        return mpf_le(mpf_sub(m, r), fzero) and mpf_ge(mpf_add(m, r), fzero)
 
     def is_positive(self) -> bool:
         return self.lo > 0
@@ -104,16 +134,17 @@ class RealBall:
 
     def __add__(self, other):
         o = as_real_ball(other)
-        with mp.workprec(_auto_prec(self.mid, o.mid)):
-            if self.mid == 0 or o.mid == 0:   # exact: no rounding happened
-                return RealBall(self.mid + o.mid, self.rad + o.rad)
-            return RealBall(self.mid + o.mid,
-                            self.rad + o.rad + _ulp(mp.mp.prec, self.mid, o.mid))
+        a, b = self.mid._mpf_, o.mid._mpf_
+        wp = _auto_prec(a[3], b[3])
+        rad = mpf_add(self.rad._mpf_, o.rad._mpf_, wp, _RN)
+        if a != fzero and b != fzero:      # a zero operand: no rounding
+            rad = mpf_add(rad, _ulp(wp, a, b), wp, _RN)
+        return RealBall(_mpf(mpf_add(a, b, wp, _RN)), _mpf(rad))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RealBall(mp.fneg(self.mid, exact=True), self.rad)
+        return RealBall(_mpf(mpf_neg(self.mid._mpf_)), self.rad)
 
     def __sub__(self, other):
         return self + (-as_real_ball(other))
@@ -123,9 +154,14 @@ class RealBall:
 
     def __mul__(self, other):
         o = as_real_ball(other)
-        with mp.workprec(_auto_prec(self.mid, o.mid)):
-            rad = abs(self.mid) * o.rad + abs(o.mid) * self.rad + self.rad * o.rad
-            return RealBall(self.mid * o.mid, rad + _ulp(mp.mp.prec, self.mid * o.mid))
+        a, b = self.mid._mpf_, o.mid._mpf_
+        ra, rb = self.rad._mpf_, o.rad._mpf_
+        wp = _auto_prec(a[3], b[3])
+        rad = mpf_add(mpf_add(mpf_mul(mpf_abs(a), rb, wp, _RN),
+                              mpf_mul(mpf_abs(b), ra, wp, _RN), wp, _RN),
+                      mpf_mul(ra, rb, wp, _RN), wp, _RN)
+        mid = mpf_mul(a, b, wp, _RN)
+        return RealBall(_mpf(mid), _mpf(mpf_add(rad, _ulp(wp, mid), wp, _RN)))
 
     __rmul__ = __mul__
 
@@ -133,10 +169,13 @@ class RealBall:
         o = as_real_ball(other)
         if o.contains_zero():
             raise ZeroDivisionError("divisor ball contains zero")
-        with mp.workprec(_auto_prec(self.mid, o.mid)):
-            q = self.mid / o.mid
-            rad = (self.rad + abs(q) * o.rad) / (abs(o.mid) - o.rad)
-            return RealBall(q, rad + _ulp(mp.mp.prec, q))
+        a, b = self.mid._mpf_, o.mid._mpf_
+        rb = o.rad._mpf_
+        wp = _auto_prec(a[3], b[3])
+        q = mpf_div(a, b, wp, _RN)
+        num = mpf_add(self.rad._mpf_, mpf_mul(mpf_abs(q), rb, wp, _RN), wp, _RN)
+        rad = mpf_div(num, mpf_sub(mpf_abs(b), rb, wp, _RN), wp, _RN)
+        return RealBall(_mpf(q), _mpf(mpf_add(rad, _ulp(wp, q), wp, _RN)))
 
     def __rtruediv__(self, other):
         return as_real_ball(other) / self
@@ -171,37 +210,48 @@ class Report:
         return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
 
 
+_ZERO = _mpf(fzero)
+
+
 def as_real_ball(x) -> RealBall:
     """x as a RealBall: an int or an mpf exactly, at any width; a Fraction
     rounded at the working precision with the rounding in the radius."""
     if isinstance(x, RealBall):
         return x
     if isinstance(x, int):
-        return RealBall(mp.make_mpf(mp.libmp.from_int(x)), mp.mpf(0))
+        return RealBall(_mpf(from_int(x)), _ZERO)
     if isinstance(x, mp.mpf):
-        return RealBall(x, mp.mpf(0))
+        return RealBall(x, _ZERO)
     if isinstance(x, Fraction):
-        mid = mp.make_mpf(mp.libmp.from_rational(
-            x.numerator, x.denominator, mp.mp.prec, mp.libmp.round_nearest))
+        mid = _mpf(mp.libmp.from_rational(
+            x.numerator, x.denominator, mp.mp.prec, _RN))
         return RealBall(mid, mp.ldexp(abs(mid), 1 - mp.mp.prec))
     raise TypeError(f"no exact ball for {type(x).__name__} {x!r}")
 
 
+def _mid_at(x: RealBall, wp: int) -> tuple:
+    """x.mid as an _mpf_ tuple; a midpoint given as an mpmath constant
+    (mp.pi, mp.e) is taken at wp bits, as inside a workprec(wp) block."""
+    m = x.mid
+    return m.func(wp, _RN) if isinstance(m, mp.mp.constant) else m._mpf_
+
+
 def two_pi_ball(precision_bits: int) -> RealBall:
     """2 pi as a ball at precision_bits + GUARD_BITS."""
-    with mp.workprec(precision_bits + GUARD_BITS):
-        two_pi = 2 * mp.pi
-        return RealBall(two_pi, _ulp(mp.mp.prec, two_pi))
+    wp = precision_bits + GUARD_BITS
+    two_pi = mpf_mul_int(mpf_pi(wp, _RN), 2, wp, _RN)
+    return RealBall(_mpf(two_pi), _mpf(_ulp(wp, two_pi)))
 
 
 def int_combination(ks, balls) -> RealBall:
     """sum k_i x_i for ints k_i and balls x_i: the products are exact and
     their sum is rounded once, with that rounding in the radius."""
-    mids = [mp.fmul(k, x.mid, exact=True) for k, x in zip(ks, balls)]
-    with mp.workprec(_auto_prec(*mids)):
-        mid = mp.fsum(mids)
-        rad = mp.fsum(abs(k) * x.rad for k, x in zip(ks, balls))
-        return RealBall(mid, rad + _ulp(mp.mp.prec, mid))
+    mids = [mpf_mul(x.mid._mpf_, from_int(k)) for k, x in zip(ks, balls)]
+    wp = _auto_prec(*[m[3] for m in mids])
+    mid = mpf_sum(mids, wp, _RN)
+    rad = mpf_sum([mpf_mul_int(x.rad._mpf_, abs(k), wp, _RN)
+                   for k, x in zip(ks, balls)], wp, _RN)
+    return RealBall(_mpf(mid), _mpf(mpf_add(rad, _ulp(wp, mid), wp, _RN)))
 
 
 def turns_mod1(x: RealBall, precision_bits: int) -> RealBall:
@@ -209,9 +259,9 @@ def turns_mod1(x: RealBall, precision_bits: int) -> RealBall:
     down into [0, 1) at precision_bits + GUARD_BITS, with that rounding in
     the radius."""
     wp = precision_bits + GUARD_BITS
-    with mp.workprec(wp):
-        t = mp.fsub(x.mid, mp.floor(x.mid), rounding="f")
-        return RealBall(t, x.rad + _ulp(wp))
+    m = _mid_at(x, wp)
+    t = mpf_sub(m, mpf_floor(m, wp, _RN), wp, round_floor)
+    return RealBall(_mpf(t), _mpf(mpf_add(x.rad._mpf_, _ulp(wp), wp, _RN)))
 
 
 @dataclass(frozen=True)
@@ -230,7 +280,8 @@ class ComplexBall:
             return cls(mp.mpc(value), mp.mpf(0), precision_bits)
 
     def _wrap(self, mid, rad) -> "ComplexBall":
-        return ComplexBall(mid, rad + _ulp(mp.mp.prec, abs(mid), rad), self.precision_bits)
+        ulp = _mpf(_ulp(mp.mp.prec, abs(mid)._mpf_, rad._mpf_))
+        return ComplexBall(mid, rad + ulp, self.precision_bits)
 
     def __add__(self, other):
         o = _as_ball(other, self.precision_bits)
@@ -238,7 +289,7 @@ class ComplexBall:
             return self._wrap(self.mid + o.mid, self.radius + o.radius)
 
     def __neg__(self):
-        with mp.workprec(_auto_prec(self.mid)):
+        with mp.workprec(_auto_prec(_mantissa_bits(self.mid))):
             return ComplexBall(-self.mid, self.radius, self.precision_bits)
 
     def __sub__(self, other):
@@ -252,12 +303,13 @@ class ComplexBall:
             return self._wrap(self.mid * o.mid, rad)
 
     def conjugate(self) -> "ComplexBall":
-        with mp.workprec(_auto_prec(self.mid)):
+        with mp.workprec(_auto_prec(_mantissa_bits(self.mid))):
             return ComplexBall(mp.conj(self.mid), self.radius, self.precision_bits)
 
     def abs_ball(self) -> RealBall:
         with mp.workprec(self.precision_bits + GUARD_BITS):
-            return RealBall(abs(self.mid), self.radius + _ulp(mp.mp.prec, abs(self.mid)))
+            r = abs(self.mid)
+            return RealBall(r, self.radius + _mpf(_ulp(mp.mp.prec, r._mpf_)))
 
     def contains(self, value) -> bool:
         with mp.workprec(self.precision_bits + GUARD_BITS):
@@ -292,11 +344,11 @@ def _horner(coeffs, z):
 #
 # Every root (the circle-root arguments theta and the Salem number eta,
 # in production and in the dense oracle) comes from sign_change_root:
-# Newton from a float bracket at precision_bits + GUARD_BITS, then the
-# intermediate value theorem.  The signs at t - eps and t + eps,
-# eps = 2^-(precision_bits + GUARD_BITS/2), are read off balls that bound
-# the rounding error of the evaluation, so the returned ball (t, eps)
-# contains a root.
+# Newton from a float bracket, its last steps at precision_bits +
+# GUARD_BITS, then the intermediate value theorem.  The signs at t - eps
+# and t + eps, eps = 2^-(precision_bits + GUARD_BITS/2), are read off
+# balls that bound the rounding error of the evaluation, so the returned
+# ball (t, eps) contains a root.
 
 
 def sign_change_root(newton_step, value_ball, lo: float, hi: float,
@@ -307,19 +359,33 @@ def sign_change_root(newton_step, value_ball, lo: float, hi: float,
     value_ball(x) returns a RealBall containing f(x) at the exact point x.
     Raises IsolationError when Newton leaves the bracket or the two signs
     are not certified opposite.
+
+    Newton runs on a precision ladder.  Each step about doubles the
+    correct bits of t, and a step of 2^-b says that t had about b of
+    them, so after it t holds about min(p, 2b) at precision p; the next
+    step runs at twice that (at least p) plus 32 bits, the first at the
+    mantissa of the start plus 32.  From precision_bits + GUARD_BITS on,
+    the steps run at that precision until |step| < eps.
     """
+    wp = precision_bits + GUARD_BITS
     e = precision_bits + GUARD_BITS // 2
-    with mp.workprec(precision_bits + GUARD_BITS):
+    with mp.workprec(wp):
         lo, hi = mp.mpf(lo), mp.mpf(hi)
         t, tol = (lo + hi) / 2, mp.ldexp(1, -e)
-        try:
-            for _ in range(100):
+    p = t._mpf_[3] + 32
+    try:
+        for _ in range(100):
+            with mp.workprec(min(p, wp)):
                 step = newton_step(t)
                 t -= step
-                if abs(step) < tol:
+                if p >= wp and abs(step) < tol:
                     break
-        except ZeroDivisionError:
-            raise IsolationError("derivative vanished during Newton") from None
+            _, man, exp, bc = step._mpf_
+            b = -(exp + bc) if man else p
+            p = max(p, 2 * min(p, 2 * b)) + 32
+    except ZeroDivisionError:
+        raise IsolationError("derivative vanished during Newton") from None
+    with mp.workprec(wp):
         if not lo <= t <= hi:
             raise IsolationError(f"Newton left the bracket "
                                  f"[{mp.nstr(lo, 17)}, {mp.nstr(hi, 17)}]")
@@ -377,19 +443,24 @@ def phase_tail(t: float) -> tuple[float, float]:
             -4 + 2 * (z * (3 * z * z - 1) / (z ** 3 - z - 1)).real)
 
 
+def guess_bits(n: int) -> int:
+    """The precision of the phase steering at n: 64 + log2(n) bits keep
+    (n - 1)t, which magnifies the rounding of t by n, to 2^-60."""
+    return 64 + n.bit_length()
+
+
 def phase_turns(n: int, turns) -> tuple[int, float]:
     """h(2 pi turns) / 2 pi as an integer part k and a float x, |x| < 4.
 
-    (n - 1) turns is exact for a Fraction and taken at the working
-    precision for an mpf (64 + log2(n) bits keep it to 2^-60); only the
-    tail is a float.
+    (n - 1) turns is exact, for a Fraction and for an mpf; only the tail
+    is a float.
     """
     if isinstance(turns, Fraction):
         k, rest = divmod((n - 1) * turns, 1)
     else:
-        lin = (n - 1) * turns
-        k = int(mp.floor(lin))
-        rest = lin - k
+        lin = mp.fmul(n - 1, turns, exact=True)
+        k = int(mp.floor(lin, prec=0))        # prec=0: exact at any width
+        rest = mp.fsub(lin, k, exact=True)
     return k, float(rest) + 1 + phase_tail(2 * math.pi * float(turns))[0] / (2 * math.pi)
 
 
@@ -398,13 +469,13 @@ def phase_guess(n: int, j: int) -> mp.mpf:
     """theta_j, the t in (0, pi) with h(t) = 2 pi j, to about 2^-45;
     cached, so the witness walk and phase_circle_root share one guess.
 
-    t0 + u at 64 + log2(n) bits, with t0 = 2 pi (j - 1)/(n - 1) in mpmath:
-    (n - 1)t magnifies the rounding of t by n.  u solves
-    (n - 1)u + G(t0 + u) = 0 by float Newton kept inside [-t0, pi - t0].
+    t0 + u at guess_bits(n), with t0 = 2 pi (j - 1)/(n - 1) in mpmath.
+    u solves (n - 1)u + G(t0 + u) = 0 by float Newton kept inside
+    [-t0, pi - t0].
     """
     if n < 10 or not 2 <= j <= n // 2:
         raise ValueError(f"no circle root of E_{n} in (0, pi) with phase index {j}")
-    with mp.workprec(64 + n.bit_length()):
+    with mp.workprec(guess_bits(n)):
         t0 = 2 * mp.pi * (j - 1) / (n - 1)
     t0f = float(t0)
     lo, hi, u = -t0f, math.pi - t0f, 0.0
@@ -418,7 +489,7 @@ def phase_guess(n: int, j: int) -> mp.mpf:
             hi = u
         nxt = u - f / (n - 1 + dg)
         if abs(nxt - u) < tol:
-            with mp.workprec(64 + n.bit_length()):
+            with mp.workprec(guess_bits(n)):
                 return t0 + nxt
         u = nxt if lo < nxt < hi else (lo + hi) / 2
     raise IsolationError(f"phase Newton did not converge at n={n}, j={j}")
@@ -442,17 +513,18 @@ def phase_circle_root(n: int, j: int, precision_bits: int) -> RealBall:
         return 2 * f / d
 
     def value_ball(x):
-        f = RealBall(mp.mpf(0), mp.mpf(0))
+        f = as_real_ball(0)
         for k, sign in ks:
-            u = RealBall(mp.ldexp(mp.fmul(k, x, exact=True), -1), mp.mpf(0))
-            f = f + sign * sin_ball(u, precision_bits)
+            s = sin_ball(as_real_ball(mp.ldexp(mp.fmul(k, x, exact=True), -1)),
+                         precision_bits)
+            f = f + s if sign > 0 else f - s       # - s is exact
         return f
 
-    with mp.workprec(64 + n.bit_length()):
+    with mp.workprec(guess_bits(n)):
         half = mp.pi / (2 * n + 32)        # roots are about 2 pi / n apart
         lo, hi = t - half, t + half
     theta = sign_change_root(newton_step, value_ball, lo, hi, precision_bits)
-    with mp.workprec(64 + n.bit_length()):
+    with mp.workprec(guess_bits(n)):
         # the certified root is theta_j: its phase is 2 pi j, to far better
         # than the quarter turn allowed here
         k, x = phase_turns(n, theta.mid / (2 * mp.pi))
@@ -522,11 +594,15 @@ def phase_eta(n: int, precision_bits: int) -> RealBall:
 
 def log_ball(x: RealBall, precision_bits: int) -> RealBall:
     """Certified log of a positive interval."""
-    with mp.workprec(precision_bits + GUARD_BITS):
-        if x.lo <= 0:
-            raise ValueError("log of an interval touching zero")
-        lo, hi = mp.log(x.lo), mp.log(x.hi)
-        return RealBall((lo + hi) / 2, (hi - lo) / 2 + _ulp(mp.mp.prec, hi))
+    wp = precision_bits + GUARD_BITS
+    m, r = _mid_at(x, wp), x.rad._mpf_
+    lo = mpf_sub(m, r)
+    if mpf_le(lo, fzero):
+        raise ValueError("log of an interval touching zero")
+    lo, hi = mpf_log(lo, wp, _RN), mpf_log(mpf_add(m, r), wp, _RN)
+    mid = mpf_div(mpf_add(lo, hi, wp, _RN), ftwo, wp, _RN)
+    rad = mpf_div(mpf_sub(hi, lo, wp, _RN), ftwo, wp, _RN)
+    return RealBall(_mpf(mid), _mpf(mpf_add(rad, _ulp(wp, hi), wp, _RN)))
 
 
 # -- trigonometric ball helpers (arguments live on the unit circle) ----
@@ -534,24 +610,29 @@ def log_ball(x: RealBall, precision_bits: int) -> RealBall:
 
 def cos_ball(theta: RealBall, precision_bits: int) -> RealBall:
     """cos over an interval; |cos'| <= 1 bounds the radius."""
-    with mp.workprec(precision_bits + GUARD_BITS):
-        return RealBall(mp.cos(theta.mid), theta.rad + _ulp(mp.mp.prec))
+    wp = precision_bits + GUARD_BITS
+    return RealBall(_mpf(mpf_cos(_mid_at(theta, wp), wp, _RN)),
+                    _mpf(mpf_add(theta.rad._mpf_, _ulp(wp), wp, _RN)))
 
 
 def sin_ball(theta: RealBall, precision_bits: int) -> RealBall:
     """sin over an interval; |sin'| <= 1 bounds the radius."""
-    with mp.workprec(precision_bits + GUARD_BITS):
-        return RealBall(mp.sin(theta.mid), theta.rad + _ulp(mp.mp.prec))
+    wp = precision_bits + GUARD_BITS
+    return RealBall(_mpf(mpf_sin(_mid_at(theta, wp), wp, _RN)),
+                    _mpf(mpf_add(theta.rad._mpf_, _ulp(wp), wp, _RN)))
 
 
 def arccos_ball(x: RealBall, precision_bits: int) -> RealBall:
     """arccos over an interval strictly inside (-1, 1)."""
-    with mp.workprec(precision_bits + GUARD_BITS):
-        edge = 1 - (abs(x.mid) + x.rad)
-        if edge <= 0:
-            raise ValueError("arccos interval touches the branch points")
-        deriv = 1 / mp.sqrt(edge * (2 - edge))
-        return RealBall(mp.acos(x.mid), x.rad * deriv + _ulp(mp.mp.prec))
+    wp = precision_bits + GUARD_BITS
+    m, r = _mid_at(x, wp), x.rad._mpf_
+    edge = mpf_sub(fone, mpf_add(mpf_abs(m, wp, _RN), r, wp, _RN), wp, _RN)
+    if mpf_le(edge, fzero):
+        raise ValueError("arccos interval touches the branch points")
+    span = mpf_mul(edge, mpf_sub(ftwo, edge, wp, _RN), wp, _RN)
+    deriv = mpf_rdiv_int(1, mpf_sqrt(span, wp, _RN), wp, _RN)
+    rad = mpf_add(mpf_mul(r, deriv, wp, _RN), _ulp(wp), wp, _RN)
+    return RealBall(_mpf(mpf_acos(m, wp, _RN)), _mpf(rad))
 
 
 def polar_ball(r, theta: RealBall, precision_bits: int) -> ComplexBall:
@@ -562,19 +643,26 @@ def polar_ball(r, theta: RealBall, precision_bits: int) -> ComplexBall:
     include theta_m's to the working precision while |theta_m| < 4 pi.
     """
     r = as_real_ball(r)
-    with mp.workprec(precision_bits + GUARD_BITS):
-        mid = r.mid * mp.exp(mp.mpc(0, theta.mid))
-        rad = r.rad + abs(r.mid) * theta.rad
-        return ComplexBall(mid, rad + _ulp(mp.mp.prec, abs(mid)), precision_bits)
+    wp = precision_bits + GUARD_BITS
+    m = _mid_at(r, wp)
+    c, s = mpf_cos_sin(mpf_pos(_mid_at(theta, wp), wp, _RN), wp, _RN)
+    mid = (mpf_mul(c, m, wp, _RN), mpf_mul(s, m, wp, _RN))
+    spread = mpf_mul(mpf_abs(m, wp, _RN), theta.rad._mpf_, wp, _RN)
+    rad = mpf_add(r.rad._mpf_, spread, wp, _RN)
+    rad = mpf_add(rad, _ulp(wp, mpf_hypot(*mid, wp, _RN)), wp, _RN)
+    return ComplexBall(mp.make_mpc(mid), _mpf(rad), precision_bits)
 
 
 def sqrt_ball(x: RealBall, precision_bits: int) -> RealBall:
     """Square root of a certified positive interval."""
-    with mp.workprec(precision_bits + GUARD_BITS):
-        if x.lo <= 0:
-            raise ValueError("sqrt of an interval touching zero")
-        rad = x.rad / (2 * mp.sqrt(x.lo))
-        return RealBall(mp.sqrt(x.mid), rad + _ulp(mp.mp.prec))
+    wp = precision_bits + GUARD_BITS
+    m, r = _mid_at(x, wp), x.rad._mpf_
+    lo = mpf_sub(m, r)
+    if mpf_le(lo, fzero):
+        raise ValueError("sqrt of an interval touching zero")
+    rad = mpf_div(r, mpf_mul_int(mpf_sqrt(lo, wp, _RN), 2, wp, _RN), wp, _RN)
+    rad = mpf_add(rad, _ulp(wp), wp, _RN)
+    return RealBall(_mpf(mpf_sqrt(m, wp, _RN)), _mpf(rad))
 
 
 # Oracle names that the acceptance gate and the benchmark read from roots;

@@ -13,7 +13,7 @@ from salemforge.mcmullen import (CircleRoot, NoSiegelRoot, PoleError,
                                  eigenvalue_branches, integrality_certificate,
                                  mcmullen_data, witness_roots, _branch_class,
                                  _cyclotomic_phases, _nonsiegel_edge,
-                                 _w_interval, _NONSIEGEL_EDGE)
+                                 _w_interval)
 from salemforge.roots import (GUARD_BITS, ComplexBall, IsolationError, RealBall,
                               phase_circle_root, phase_eta, polar_ball)
 from salemforge.oracle import (circle_root, circle_root_arguments,
@@ -126,12 +126,20 @@ def _mp_cyclotomic_phases(fact):
 
 
 def _mp_nonsiegel_edge(n):
-    with mp.workprec(64 + n.bit_length()):
-        return int(pisot_phase(n, mp.mpf(_NONSIEGEL_EDGE))[0] / (2 * mp.pi))
+    """The phase index of the last root before |w| = 101/50, read from
+    the multiprecision phase at the point where |w| = 101/50."""
+    with mp.workprec(64 + n.bit_length() + 40):
+        w = mp.mpf(101) / 50
+        edge = 2 * mp.acos((1 + mp.sqrt(1 + 4 * w ** 2)) / (4 * w))
+        return int(pisot_phase(n, edge)[0] / (2 * mp.pi))
+
+
+LENGTH_10_SOURCE = 1_066_388_742_262_052_170_207_459_831_459
 
 
 def test_float_phase_indices_equal_the_multiprecision_ones():
-    for n in range(13, 2001, 6):
+    for n in [*range(13, 2001, 6), 730_201_596_227_659, 10**18 - 3,
+              LENGTH_10_SOURCE]:
         fact = salem_factor(n)
         assert _cyclotomic_phases(fact) == _mp_cyclotomic_phases(fact), n
         assert _nonsiegel_edge(n) == _mp_nonsiegel_edge(n), n
@@ -273,6 +281,32 @@ def test_witnesses_certify_at_19107739():
         assert 0 < root.theta.lo and root.theta.hi < mp.pi
         lo, hi = _f_value(n, root.theta.lo, prec), _f_value(n, root.theta.hi, prec)
         assert lo * hi < 0
+
+
+@pytest.mark.parametrize("n, index", [
+    (10**18 - 3, 279_409_693_763_625_818),
+    (LENGTH_10_SOURCE, 297_959_351_908_418_102_506_945_217_385)])
+def test_nonsiegel_walk_certifies_the_first_root_past_the_edge(monkeypatch, n, index):
+    """Near |w| = 101/50 the w of neighbouring roots differ far below
+    double precision: the walk reads w from the mpf guesses, starts at
+    the exact edge and certifies the first root past it."""
+    guesses = Counter()
+    w_guess = mcmullen._w_guess
+
+    def counted(n, j):
+        guesses[j] += 1
+        return w_guess(n, j)
+
+    monkeypatch.setattr(mcmullen, "_w_guess", counted)
+    data = mcmullen_data(n, 512)
+    cyc = _cyclotomic_phases(salem_factor(n))
+    j = _nonsiegel_edge(n) + 1
+    assert j not in cyc
+    assert data.delta_prime.index == index == j - 1 - bisect_left(cyc, j)
+    assert _branch_class(data.delta_prime.w) == "nonsiegel"
+    assert not (data.ratio_prime - 1).contains_zero()
+    assert data.delta.index == 1 and data.siegel_root
+    assert sum(guesses.values()) == 3       # j = 2, the edge and the next root
 
 
 def _sign_certified_opposite(f_lo: RealBall, f_hi: RealBall) -> bool:

@@ -5,15 +5,20 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import salemforge
 from salemforge.polyring import IntPoly, poly, monomial, ONE
-from salemforge.roots import (ComplexBall, RealBall, as_real_ball, _eta_bracket,
-                              log_ball, phase_circle_root, phase_eta,
-                              phase_guess, phase_tail, polar_ball, sin_ball)
+from salemforge import roots
+from salemforge.roots import (GUARD_BITS, ComplexBall, RealBall, as_real_ball,
+                              _eta_bracket, arccos_ball, cos_ball,
+                              int_combination, log_ball, phase_circle_root,
+                              phase_eta, phase_guess, phase_tail, polar_ball,
+                              sin_ball, sqrt_ball, turns_mod1, two_pi_ball)
 from salemforge.oracle import (NotSalemError, _classify_tags,
                                circle_root_arguments, classify_salem,
-                               entropy_from_charpoly, eval_ball, isolate_roots,
+                               entropy_from_charpoly, eval_ball,
+                               full_precision_root, isolate_roots,
                                pisot_phase, salem_eta, unit_circle_distance,
                                yun_squarefree)
 from salemforge.coxeter import en_from_formula, salem_factor
@@ -302,3 +307,226 @@ def test_phase_eta_matches_isolation():
     eta = phase_eta(19, 256)
     assert abs(eta.mid - ETA_PHI14) < mp.mpf(2) ** -60
     assert eta.rad < mp.mpf(2) ** -200
+
+
+# -- the ball kernels against the workprec formulas they replace ----------
+#
+# Each kernel computes on _mpf_ tuples with mpmath.libmp at an explicit
+# precision; the formulas below are the mpf-operator versions, run inside
+# mp.workprec, that they must reproduce bit for bit.
+
+
+def _ulp_formula(prec, *vals):
+    scale = max([mp.mpf(1)] + [abs(v) for v in vals])
+    return mp.ldexp(scale, -prec + 4)
+
+
+def _prec_formula(*vals):
+    return max([mp.mp.prec] + [v._mpf_[3] for v in vals]) + 16
+
+
+def _add_formula(x, y):
+    with mp.workprec(_prec_formula(x.mid, y.mid)):
+        if x.mid == 0 or y.mid == 0:
+            return x.mid + y.mid, x.rad + y.rad
+        return x.mid + y.mid, x.rad + y.rad + _ulp_formula(mp.mp.prec, x.mid, y.mid)
+
+
+def _sub_formula(x, y):
+    return _add_formula(x, RealBall(mp.fneg(y.mid, exact=True), y.rad))
+
+
+def _mul_formula(x, y):
+    with mp.workprec(_prec_formula(x.mid, y.mid)):
+        rad = abs(x.mid) * y.rad + abs(y.mid) * x.rad + x.rad * y.rad
+        return x.mid * y.mid, rad + _ulp_formula(mp.mp.prec, x.mid * y.mid)
+
+
+def _div_formula(x, y):
+    with mp.workprec(_prec_formula(x.mid, y.mid)):
+        q = x.mid / y.mid
+        rad = (x.rad + abs(q) * y.rad) / (abs(y.mid) - y.rad)
+        return q, rad + _ulp_formula(mp.mp.prec, q)
+
+
+def _sin_formula(theta, bits):
+    with mp.workprec(bits + GUARD_BITS):
+        return mp.sin(theta.mid), theta.rad + _ulp_formula(mp.mp.prec)
+
+
+def _cos_formula(theta, bits):
+    with mp.workprec(bits + GUARD_BITS):
+        return mp.cos(theta.mid), theta.rad + _ulp_formula(mp.mp.prec)
+
+
+def _polar_formula(r, theta, bits):
+    with mp.workprec(bits + GUARD_BITS):
+        mid = r.mid * mp.exp(mp.mpc(0, theta.mid))
+        rad = r.rad + abs(r.mid) * theta.rad
+        return mid, rad + _ulp_formula(mp.mp.prec, abs(mid))
+
+
+def _arccos_formula(x, bits):
+    with mp.workprec(bits + GUARD_BITS):
+        edge = 1 - (abs(x.mid) + x.rad)
+        if edge <= 0:
+            raise ValueError
+        deriv = 1 / mp.sqrt(edge * (2 - edge))
+        return mp.acos(x.mid), x.rad * deriv + _ulp_formula(mp.mp.prec)
+
+
+def _sqrt_formula(x, bits):
+    with mp.workprec(bits + GUARD_BITS):
+        if x.lo <= 0:
+            raise ValueError
+        rad = x.rad / (2 * mp.sqrt(x.lo))
+        return mp.sqrt(x.mid), rad + _ulp_formula(mp.mp.prec)
+
+
+def _log_formula(x, bits):
+    with mp.workprec(bits + GUARD_BITS):
+        if x.lo <= 0:
+            raise ValueError
+        lo, hi = mp.log(x.lo), mp.log(x.hi)
+        return (lo + hi) / 2, (hi - lo) / 2 + _ulp_formula(mp.mp.prec, hi)
+
+
+def _turns_formula(x, bits):
+    wp = bits + GUARD_BITS
+    with mp.workprec(wp):
+        t = mp.fsub(x.mid, mp.floor(x.mid), rounding="f")
+        return t, x.rad + _ulp_formula(wp)
+
+
+def _int_combination_formula(ks, balls):
+    mids = [mp.fmul(k, x.mid, exact=True) for k, x in zip(ks, balls)]
+    with mp.workprec(_prec_formula(*mids)):
+        mid = mp.fsum(mids)
+        rad = mp.fsum(abs(k) * x.rad for k, x in zip(ks, balls))
+        return mid, rad + _ulp_formula(mp.mp.prec, mid)
+
+
+def _two_pi_formula(bits):
+    with mp.workprec(bits + GUARD_BITS):
+        two_pi = 2 * mp.pi
+        return two_pi, _ulp_formula(mp.mp.prec, two_pi)
+
+
+def _tuples(mid, rad):
+    """mid and rad as exact _mpf_ tuples (a complex mid as its pair)."""
+    return (getattr(mid, "_mpc_", None) or mid._mpf_), rad._mpf_
+
+
+def _same(ball, formula):
+    rad = ball.rad if isinstance(ball, RealBall) else ball.radius
+    return _tuples(ball.mid, rad) == _tuples(*formula)
+
+
+def _mpf(mantissa_bits, magnitude):
+    """A random-looking mpf of exactly mantissa_bits bits near 2^magnitude."""
+    return st.integers(2 ** (mantissa_bits - 1), 2 ** mantissa_bits - 1).map(
+        lambda m: mp.make_mpf(mp.libmp.from_man_exp(m, magnitude - mantissa_bits)))
+
+
+def _value(lo_mag, hi_mag, signed=True):
+    """An mpf with a 1..2000-bit mantissa and magnitude 2^lo_mag..2^hi_mag,
+    or zero; negative too when signed."""
+    nonzero = st.tuples(st.integers(1, 2000), st.integers(lo_mag, hi_mag)).flatmap(
+        lambda t: _mpf(*t))
+    if signed:
+        nonzero = st.tuples(nonzero, st.booleans()).map(
+            lambda t: mp.fneg(t[0], exact=True) if t[1] else t[0])
+    return st.one_of(st.just(mp.mpf(0)), nonzero)
+
+
+_BALLS = st.builds(RealBall, _value(-60, 60), _value(-2200, -8, signed=False))
+_AMBIENT = st.sampled_from((53, 600, 2 * 512 + GUARD_BITS))
+_BITS = st.sampled_from((64, 128, 512, 1024))
+
+
+@given(_BALLS, _BALLS, _AMBIENT)
+@settings(max_examples=300, deadline=None)
+def test_ball_operators_equal_the_workprec_formulas(x, y, ambient):
+    with mp.workprec(ambient):
+        assert _same(x + y, _add_formula(x, y))
+        assert _same(x - y, _sub_formula(x, y))
+        assert _same(x * y, _mul_formula(x, y))
+        if y.contains_zero():
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        else:
+            assert _same(x / y, _div_formula(x, y))
+
+
+@given(_BALLS, _BALLS, _AMBIENT, _BITS)
+@settings(max_examples=200, deadline=None)
+def test_ball_helpers_equal_the_workprec_formulas(x, r, ambient, bits):
+    with mp.workprec(ambient):
+        assert _same(sin_ball(x, bits), _sin_formula(x, bits))
+        assert _same(cos_ball(x, bits), _cos_formula(x, bits))
+        for modulus in (r, as_real_ball(3), as_real_ball(-1)):
+            assert _same(polar_ball(modulus, x, bits), _polar_formula(modulus, x, bits))
+        assert _same(turns_mod1(x, bits), _turns_formula(x, bits))
+        assert _same(two_pi_ball(bits), _two_pi_formula(bits))
+        ks = (3, -7, 0)
+        assert _same(int_combination(ks, (x, r, x)),
+                     _int_combination_formula(ks, (x, r, x)))
+
+
+_UNIT = st.builds(RealBall, _value(-60, -1), _value(-2200, -8, signed=False))
+
+
+@given(_UNIT, _BALLS, _AMBIENT, _BITS)
+@settings(max_examples=200, deadline=None)
+def test_domain_helpers_equal_the_workprec_formulas(u, x, ambient, bits):
+    with mp.workprec(ambient):
+        for helper, formula, ball in ((arccos_ball, _arccos_formula, u),
+                                      (sqrt_ball, _sqrt_formula, x),
+                                      (log_ball, _log_formula, x)):
+            try:
+                expected = formula(ball, bits)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    helper(ball, bits)
+                continue
+            assert _same(helper(ball, bits), expected), helper.__name__
+
+
+# -- the Newton precision ladder of sign_change_root ------------------------
+
+LADDER_NS = (13, 43, 739, 3259, 730_201_596_227_659, 10**18 - 3)
+LADDER_BITS = (64, 128, 512, 1024)
+
+
+@pytest.mark.parametrize("n", LADDER_NS)
+def test_ladder_gives_the_full_precision_ball(monkeypatch, n):
+    """phase_circle_root and phase_eta give the ball that Newton at full
+    precision alone gives (oracle.full_precision_root)."""
+    js = sorted({2, n // 3, n // 2})
+    for bits in LADDER_BITS:
+        ladder = [phase_circle_root(n, j, bits) for j in js] + [phase_eta(n, bits)]
+        with monkeypatch.context() as m:
+            m.setattr(roots, "sign_change_root", full_precision_root)
+            full = [phase_circle_root(n, j, bits) for j in js] + [phase_eta(n, bits)]
+        for a, b in zip(ladder, full):
+            assert _tuples(a.mid, a.rad) == _tuples(b.mid, b.rad), (n, bits)
+
+
+@pytest.mark.parametrize("n", LADDER_NS)
+def test_ladder_runs_at_most_two_full_precision_steps(monkeypatch, n):
+    sign_change_root = roots.sign_change_root
+    steps = []
+
+    def counting(newton_step, value_ball, lo, hi, precision_bits):
+        def step(t):
+            steps.append(mp.mp.prec == precision_bits + GUARD_BITS)
+            return newton_step(t)
+        return sign_change_root(step, value_ball, lo, hi, precision_bits)
+
+    monkeypatch.setattr(roots, "sign_change_root", counting)
+    for bits in LADDER_BITS:
+        for certify in (lambda: phase_circle_root(n, n // 3, bits),
+                        lambda: phase_eta(n, bits)):
+            steps.clear()
+            certify()
+            assert 1 <= sum(steps) <= 2, (n, bits, steps)
