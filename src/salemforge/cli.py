@@ -235,7 +235,8 @@ def toric_fixed_points(fan_file, seq_file, precision, bound, out):
 def _spec_from_file(spec_file: str, precision: int):
     with open(spec_file) as fh:
         data = json.load(fh)
-    seq_file, factors = json_fields(data, spec_file, "mau", "factors")
+    seq_file, factors = json_fields(data, spec_file, "mau", "factors",
+                                    lists=("factors",))
     seq = load_sequence(seq_file)
     descriptors = []
     for f in factors:

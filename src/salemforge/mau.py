@@ -72,22 +72,23 @@ def is_prime(n: int) -> tuple[bool, dict]:
     """Deterministic primality with a serializable witness record.
 
     Divisibility by the first 12 primes, then strong probable-prime tests
-    to those 12 bases, a proof below psi_12; at or above psi_12 no
-    primality proof is implemented, so ValueError.
+    to those 12 bases: a failing base proves n composite at any size, and
+    passing all 12 proves n prime below psi_12.  At or above psi_12 a
+    candidate that passes them all has no primality proof: ValueError.
     """
     if n < 2:
         return False, {"method": "trivial", "detail": "n < 2"}
     for a in _SPSP_BASES:
         if n % a == 0:
             return n == a, {"method": "trial_division", "factor": a}
-    if n >= _SPSP_VALID_BELOW:
-        raise ValueError(
-            f"{n} is not below psi_12 = {_SPSP_VALID_BELOW}, where the "
-            f"{len(_SPSP_BASES)}-base strong pseudoprime test stops being "
-            f"a proof; no primality proof is implemented there")
     for a in _SPSP_BASES:
         if not _is_strong_probable_prime(n, a):
             return False, {"method": "strong_pseudoprime", "witness_base": a}
+    if n >= _SPSP_VALID_BELOW:
+        raise ValueError(
+            f"{n} is a strong probable prime to all {len(_SPSP_BASES)} bases "
+            f"but not below psi_12 = {_SPSP_VALID_BELOW}, where that test "
+            f"stops being a proof; no primality proof is implemented there")
     return True, {"method": "strong_pseudoprime", "bases": list(_SPSP_BASES)}
 
 
@@ -181,7 +182,8 @@ class RelationReport(Report):
     @classmethod
     def from_json(cls, data: dict, source) -> "RelationReport":
         prec, raw, bound, outcome = json_fields(
-            data, source, "precision_bits", "arguments", "bound", "outcome")
+            data, source, "precision_bits", "arguments", "bound", "outcome",
+            lists=("arguments",))
         prec = int(prec)
         args = tuple(_ball_from_json(a, prec, source) for a in raw)
         res = data.get("residual")
@@ -259,22 +261,35 @@ def relation_search(arguments, bound: int, precision_bits: int) -> RelationRepor
                                   outcome="candidate", exponents=m, residual=res)
 
     # gap certificate: any nonzero lattice vector has norm >= min |b*_i|,
-    # so every |m_i| <= bound relation has residual above `gap`
-    lam2 = min(b_norms)
-    with mp.workprec(2 * precision_bits + GUARD_BITS):
-        lam = mp.sqrt(mp.mpf(lam2.numerator) / lam2.denominator)
-        slack = n * bound * (mp.mpf(1) / 2 + scale * max_rad)
-        tail = lam * lam - n * bound * bound
-        gap = (mp.sqrt(tail) - slack) / scale if tail > 0 else mp.mpf(-1)
-        if gap <= 0:
-            raise PrecisionTooLow(
-                "reduced lattice too short to certify absence of relations "
-                f"at bound {bound}; raise the search precision",
-                2 * precision_bits)
-        gap_str = mp.nstr(gap, 10)
+    # so every |m_i| <= bound relation has residual above `gap`, here in
+    # exact arithmetic with the square root rounded down
+    tail = min(b_norms) - n * bound * bound
+    rad = Fraction(*mp.libmp.to_rational(max_rad._mpf_))
+    slack = n * bound * (Fraction(1, 2) + rad * 2 ** precision_bits)
+    k = 2 * precision_bits + GUARD_BITS     # bits of the square root
+    root = Fraction(math.isqrt(int(max(tail, 0) * 4 ** k)), 2 ** k)
+    gap = (root - slack) / 2 ** precision_bits
+    if gap <= 0:
+        raise PrecisionTooLow(
+            "reduced lattice too short to certify absence of relations "
+            f"at bound {bound}; raise the search precision",
+            2 * precision_bits)
     return RelationReport(arguments=tuple(args), bound=bound,
                           precision_bits=precision_bits,
-                          outcome="no_relation", gap=gap_str)
+                          outcome="no_relation", gap=_str_down(gap, 10))
+
+
+def _str_down(x: Fraction, digits: int) -> str:
+    """x > 0 rounded toward zero to `digits` significant digits, written
+    as mp.nstr writes it."""
+    e = len(str(x.numerator)) - len(str(x.denominator))
+    if x < Fraction(10) ** e:         # now 10^e <= x < 10^(e+1)
+        e -= 1
+    unit = Fraction(10) ** (e + 1 - digits)
+    down = math.floor(x / unit) * unit
+    return mp.nstr(mp.make_mpf(mp.libmp.from_rational(
+        down.numerator, down.denominator, 4 * digits + 64,
+        mp.libmp.round_nearest)), digits)
 
 
 # -- the sequence and its growth ----------------------------------------
@@ -356,12 +371,16 @@ def _cball_from_json(data: dict, source) -> ComplexBall:
         return ComplexBall(mp.mpc(mp.mpf(re), mp.mpf(im)), mp.mpf(rad), prec)
 
 
-def json_fields(data, source, *keys) -> tuple:
+def json_fields(data, source, *keys, lists=()) -> tuple:
     """The values of keys in the parsed JSON object data, or ValueError
-    naming source and the first key it lacks."""
+    naming source and the first key it lacks, or the first key in lists
+    whose value is not a list."""
     for key in keys:
         if not isinstance(data, dict) or key not in data:
             raise ValueError(f"{source}: missing key {key!r}")
+    for key in lists:
+        if not isinstance(data[key], list):
+            raise ValueError(f"{source}: key {key!r} must be a list")
     return tuple(data[key] for key in keys)
 
 
@@ -374,7 +393,7 @@ def load_sequence(path) -> MAUSequence:
     with open(path) as fh:
         data = json.load(fh)
     prec, raw, bound = json_fields(data, path, "precision_bits", "entries",
-                                   "degree_bound")
+                                   "degree_bound", lists=("entries",))
     prec, entries = int(prec), []
     for e in raw:
         value, turns, n, role = json_fields(e, path, "value", "argument_turns",

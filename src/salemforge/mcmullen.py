@@ -170,8 +170,7 @@ def eigenvalue_branches(delta: CircleRoot) -> list[Branch]:
 def _w_guess(n: int, j: int) -> mp.mpf:
     """|w| at the mpf guess of theta_j, at the precision the guess
     carries (roots.guess_bits): it steers the witness walk only."""
-    t, bits = as_real_ball(phase_guess(n, j)), guess_bits(n)
-    return (2 * cos_ball(_half(t), bits) / (1 + 2 * cos_ball(t, bits))).abs_ball().mid
+    return _w_interval(as_real_ball(phase_guess(n, j)), guess_bits(n)).abs_ball().mid
 
 
 def _cyclotomic_phases(fact: SalemFactorization) -> list[int]:

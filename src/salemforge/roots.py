@@ -229,13 +229,6 @@ def as_real_ball(x) -> RealBall:
     raise TypeError(f"no exact ball for {type(x).__name__} {x!r}")
 
 
-def _mid_at(x: RealBall, wp: int) -> tuple:
-    """x.mid as an _mpf_ tuple; a midpoint given as an mpmath constant
-    (mp.pi, mp.e) is taken at wp bits, as inside a workprec(wp) block."""
-    m = x.mid
-    return m.func(wp, _RN) if isinstance(m, mp.mp.constant) else m._mpf_
-
-
 def two_pi_ball(precision_bits: int) -> RealBall:
     """2 pi as a ball at precision_bits + GUARD_BITS."""
     wp = precision_bits + GUARD_BITS
@@ -259,7 +252,7 @@ def turns_mod1(x: RealBall, precision_bits: int) -> RealBall:
     down into [0, 1) at precision_bits + GUARD_BITS, with that rounding in
     the radius."""
     wp = precision_bits + GUARD_BITS
-    m = _mid_at(x, wp)
+    m = x.mid._mpf_
     t = mpf_sub(m, mpf_floor(m, wp, _RN), wp, round_floor)
     return RealBall(_mpf(t), _mpf(mpf_add(x.rad._mpf_, _ulp(wp), wp, _RN)))
 
@@ -595,7 +588,7 @@ def phase_eta(n: int, precision_bits: int) -> RealBall:
 def log_ball(x: RealBall, precision_bits: int) -> RealBall:
     """Certified log of a positive interval."""
     wp = precision_bits + GUARD_BITS
-    m, r = _mid_at(x, wp), x.rad._mpf_
+    m, r = x.mid._mpf_, x.rad._mpf_
     lo = mpf_sub(m, r)
     if mpf_le(lo, fzero):
         raise ValueError("log of an interval touching zero")
@@ -611,21 +604,21 @@ def log_ball(x: RealBall, precision_bits: int) -> RealBall:
 def cos_ball(theta: RealBall, precision_bits: int) -> RealBall:
     """cos over an interval; |cos'| <= 1 bounds the radius."""
     wp = precision_bits + GUARD_BITS
-    return RealBall(_mpf(mpf_cos(_mid_at(theta, wp), wp, _RN)),
+    return RealBall(_mpf(mpf_cos(theta.mid._mpf_, wp, _RN)),
                     _mpf(mpf_add(theta.rad._mpf_, _ulp(wp), wp, _RN)))
 
 
 def sin_ball(theta: RealBall, precision_bits: int) -> RealBall:
     """sin over an interval; |sin'| <= 1 bounds the radius."""
     wp = precision_bits + GUARD_BITS
-    return RealBall(_mpf(mpf_sin(_mid_at(theta, wp), wp, _RN)),
+    return RealBall(_mpf(mpf_sin(theta.mid._mpf_, wp, _RN)),
                     _mpf(mpf_add(theta.rad._mpf_, _ulp(wp), wp, _RN)))
 
 
 def arccos_ball(x: RealBall, precision_bits: int) -> RealBall:
     """arccos over an interval strictly inside (-1, 1)."""
     wp = precision_bits + GUARD_BITS
-    m, r = _mid_at(x, wp), x.rad._mpf_
+    m, r = x.mid._mpf_, x.rad._mpf_
     edge = mpf_sub(fone, mpf_add(mpf_abs(m, wp, _RN), r, wp, _RN), wp, _RN)
     if mpf_le(edge, fzero):
         raise ValueError("arccos interval touches the branch points")
@@ -644,8 +637,8 @@ def polar_ball(r, theta: RealBall, precision_bits: int) -> ComplexBall:
     """
     r = as_real_ball(r)
     wp = precision_bits + GUARD_BITS
-    m = _mid_at(r, wp)
-    c, s = mpf_cos_sin(mpf_pos(_mid_at(theta, wp), wp, _RN), wp, _RN)
+    m = r.mid._mpf_
+    c, s = mpf_cos_sin(mpf_pos(theta.mid._mpf_, wp, _RN), wp, _RN)
     mid = (mpf_mul(c, m, wp, _RN), mpf_mul(s, m, wp, _RN))
     spread = mpf_mul(mpf_abs(m, wp, _RN), theta.rad._mpf_, wp, _RN)
     rad = mpf_add(r.rad._mpf_, spread, wp, _RN)
@@ -656,7 +649,7 @@ def polar_ball(r, theta: RealBall, precision_bits: int) -> ComplexBall:
 def sqrt_ball(x: RealBall, precision_bits: int) -> RealBall:
     """Square root of a certified positive interval."""
     wp = precision_bits + GUARD_BITS
-    m, r = _mid_at(x, wp), x.rad._mpf_
+    m, r = x.mid._mpf_, x.rad._mpf_
     lo = mpf_sub(m, r)
     if mpf_le(lo, fzero):
         raise ValueError("sqrt of an interval touching zero")

@@ -1,19 +1,24 @@
 """Complete nonsingular fans and torus-element fixed-point data.
 
-A fan is stored by its maximal cones only.  Smoothness is the exact
-unimodularity of each generator matrix; completeness is certified
-combinatorially: every facet of a maximal cone is shared by exactly two
-cones lying on opposite sides of it, and the facet-adjacency graph is
-connected.  A torus element is stored by the arguments theta_i of its
-coordinates a_i = e^(2 pi i theta_i), so |a_i| = 1 holds by
-representation and the linearized eigenvalues at each fixed point are
-integer linear algebra on the arguments, mod 1.
+A fan is stored by its maximal cones only and is well-shaped by
+construction: dim >= 1 and every cone a dim x dim matrix of primitive
+rays.  One exact kernel serves the certificate and the fixed points: the
+cofactor matrix C of a cone's generators m has m C^T = det(m) I, so row k
+of C is the normal of the facet omitting ray k; smoothness is |det m| = 1
+and the dual basis is K = det(m) C.  Completeness is certified
+combinatorially: every facet is shared by exactly two cones lying on
+opposite sides of it, and the facet-adjacency graph is connected.  A
+torus element is stored by the arguments theta_i of its coordinates
+a_i = e^(2 pi i theta_i), so |a_i| = 1 holds by representation and the
+eigenvalues at each fixed point are integer linear algebra on the
+arguments, mod 1.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -28,7 +33,7 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 
 class FanError(ValueError):
-    """Fan data violates a named smoothness/completeness condition."""
+    """Fan data violates a named shape, smoothness or completeness condition."""
 
 
 class IndependenceEvidenceMissing(RuntimeError):
@@ -36,7 +41,8 @@ class IndependenceEvidenceMissing(RuntimeError):
 
 
 def det_int(m) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
+    """Exact determinant of an integer matrix (fraction-free Bareiss);
+    the empty matrix has determinant 1."""
     a = [list(map(int, row)) for row in m]
     n = len(a)
     sign, prev = 1, 1
@@ -53,35 +59,19 @@ def det_int(m) -> int:
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return sign * a[-1][-1]
+    return sign * a[-1][-1] if n else 1
 
 
-def _inverse_transpose(m: IntMatrix) -> IntMatrix:
-    """Exact inverse-transpose of a unimodular integer matrix."""
+def _cofactors(m: IntMatrix) -> IntMatrix:
+    """C[i][j] = (-1)^(i+j) det(m without row i and column j), exactly.
+
+    Row k of C is normal to every row of m but row k, C[k] . m[k] = det m
+    (Laplace expansion), and m C^T = det(m) I.
+    """
     n = len(m)
-    d = det_int(m)
-    if abs(d) != 1:
-        raise FanError(f"matrix is not unimodular, det = {d}")
-    # adjugate via cofactor determinants; exact since |det| = 1
-    inv = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[m[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            cof = det_int(minor) if minor else 1
-            inv[j][i] = (-1) ** (i + j) * cof * d
-    # inverse-transpose: K with m . K^T = I
-    return tuple(tuple(inv[j][i] for j in range(n)) for i in range(n))
-
-
-def _facet_normal(rays: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Integer normal to the span of d-1 rays in Z^d (generalized cross)."""
-    d = len(rays) + 1
-    nu = []
-    for i in range(d):
-        minor = [[r[c] for c in range(d) if c != i] for r in rays]
-        nu.append((-1) ** i * (det_int(minor) if minor else 1))
-    return tuple(nu)
+    return tuple(tuple((-1) ** (i + j) * det_int(
+        [r[:j] + r[j + 1:] for t, r in enumerate(m) if t != i])
+        for j in range(n)) for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -91,12 +81,13 @@ class Cone:
     generators: IntMatrix
 
     def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.generators)
-        object.__setattr__(self, "generators", g)
-        d = len(g)
-        if any(len(row) != d for row in g):
-            raise FanError("generator matrix must be square")
-        for row in g:
+        g = self.generators
+        if not (isinstance(g, (list, tuple)) and all(
+                isinstance(r, (list, tuple)) and len(r) == len(g)
+                and all(isinstance(x, int) for x in r) for r in g)):
+            raise FanError(f"cone {g!r} is not a square matrix of integers")
+        object.__setattr__(self, "generators", tuple(map(tuple, g)))
+        for row in self.generators:
             if math.gcd(*row) != 1:
                 raise FanError(f"non-primitive ray {row}")
 
@@ -104,22 +95,29 @@ class Cone:
     def dim(self) -> int:
         return len(self.generators)
 
-    def det(self) -> int:
-        return det_int(self.generators)
-
 
 @dataclass(frozen=True)
 class Fan:
+    """A fan by its maximal cones; dim >= 1 and every cone is dim x dim."""
+
     dim: int
     max_cones: tuple[Cone, ...]
 
+    def __post_init__(self):
+        if not isinstance(self.dim, int) or self.dim < 1:
+            raise FanError(f"dim must be an integer >= 1, not {self.dim!r}")
+        if not isinstance(self.max_cones, (list, tuple)):
+            raise FanError("max_cones must be a list of cones")
+        cones = tuple(c if isinstance(c, Cone) else Cone(c)
+                      for c in self.max_cones)
+        if any(c.dim != self.dim for c in cones):
+            raise FanError(f"every cone of a dim {self.dim} fan must be "
+                           f"{self.dim} x {self.dim}")
+        object.__setattr__(self, "max_cones", cones)
+
     @classmethod
     def from_json(cls, data) -> "Fan":
-        if isinstance(data, str):
-            data = json.loads(data)
-        dim, max_cones = json_fields(data, "fan data", "dim", "max_cones")
-        cones = tuple(Cone(tuple(tuple(r) for r in c)) for c in max_cones)
-        return cls(dim=int(dim), max_cones=cones)
+        return cls(*json_fields(data, "fan data", "dim", "max_cones"))
 
     def to_json(self) -> dict:
         return {"dim": self.dim,
@@ -133,7 +131,6 @@ class Fan:
 
 def load_fan(source) -> Fan:
     """Fan from a file path, or a shipped example by bare name ('plane')."""
-    import os
     name = str(source)
     if os.path.exists(name):
         with open(name) as fh:
@@ -162,26 +159,24 @@ def check_fan(fan: Fan) -> FanCertificate:
 
     Completeness for a pure full-dimensional simplicial fan: every facet
     lies in exactly two maximal cones, the two cones sit on opposite
-    sides of the facet, and the adjacency graph is connected.  In
-    dimension 1 the one facet is the origin, with normal (1,).
+    sides of the facet, and the adjacency graph is connected.  Cofactor
+    row k, the normal of the facet omitting ray k, gives det on ray k; on
+    the ray the neighbouring cone omits it must give a nonzero value of
+    the opposite sign.  In dimension 1 the one facet is the origin.
     """
     failures: list[str] = []
-    d = fan.dim
-    dets = tuple(c.det() for c in fan.max_cones)
-    for p, (cone, dt) in enumerate(zip(fan.max_cones, dets)):
-        if cone.dim != d:
-            failures.append(f"cone {p}: dimension {cone.dim} != fan dim {d}")
-        if abs(dt) != 1:
-            failures.append(f"cone {p}: smoothness failure, det = {dt}")
+    d, dets = fan.dim, []
+    facets: dict[frozenset, list[tuple]] = {}
+    for p, cone in enumerate(fan.max_cones):
+        rows, cof = cone.generators, _cofactors(cone.generators)
+        dets.append(sum(a * b for a, b in zip(cof[0], rows[0])))
+        if abs(dets[p]) != 1:
+            failures.append(f"cone {p}: smoothness failure, det = {dets[p]}")
+        for k in range(d):
+            facet = frozenset(rows[:k] + rows[k + 1:])
+            facets.setdefault(facet, []).append((p, rows[k], cof[k], dets[p]))
     if fan.n_cones < d + 1:
         failures.append(f"completeness failure: {fan.n_cones} cones < dim+1")
-
-    facets: dict[frozenset, list[tuple[int, tuple[int, ...]]]] = {}
-    for p, cone in enumerate(fan.max_cones):
-        rows = cone.generators
-        for omit in range(d):
-            facet = frozenset(rows[i] for i in range(d) if i != omit)
-            facets.setdefault(facet, []).append((p, rows[omit]))
 
     adjacency: dict[int, set[int]] = {p: set() for p in range(fan.n_cones)}
     for facet, members in facets.items():
@@ -190,11 +185,9 @@ def check_fan(fan: Fan) -> FanCertificate:
                 f"completeness failure: facet {sorted(facet)} lies in "
                 f"{len(members)} cones, expected 2")
             continue
-        (p, u), (q, v) = members
-        nu = _facet_normal(sorted(facet))
-        su = sum(a * b for a, b in zip(nu, u))
-        sv = sum(a * b for a, b in zip(nu, v))
-        if su == 0 or sv == 0 or (su > 0) == (sv > 0):
+        (p, _, normal, own), (q, v, _, _) = members
+        other = sum(a * b for a, b in zip(normal, v))
+        if own == 0 or other == 0 or (own > 0) == (other > 0):
             failures.append(
                 f"interior overlap: cones {p} and {q} on the same side of "
                 f"facet {sorted(facet)}")
@@ -213,31 +206,19 @@ def check_fan(fan: Fan) -> FanCertificate:
             failures.append("completeness failure: facet-adjacency graph "
                             "is disconnected")
     return FanCertificate(dim=d, n_cones=fan.n_cones, passed=not failures,
-                          failures=tuple(failures), cone_dets=dets,
+                          failures=tuple(failures), cone_dets=tuple(dets),
                           n_facets=len(facets))
 
 
 def dual_bases(fan: Fan) -> list[IntMatrix]:
-    """K(p) per maximal cone: rows are the dual Z-basis exponent vectors.
-
-    generators(p) . K(p)^T = identity exactly; unimodularity of each K(p)
-    is inherited from smoothness.
-    """
+    """K(p) = det(p) C(p) per maximal cone, C the cofactor matrix: rows
+    are the dual Z-basis exponent vectors, generators(p) . K(p)^T = I
+    exactly as smoothness makes det(p) = +-1."""
     cert = check_fan(fan)
     if not cert.passed:
         raise FanError("fan rejected: " + cert.failures[0])
-    return [_inverse_transpose(c.generators) for c in fan.max_cones]
-
-
-def exponent_image(k_matrix: IntMatrix, r) -> tuple[int, ...]:
-    """s = r . K; unimodularity guarantees s = 0 only for r = 0."""
-    d = len(k_matrix)
-    if abs(det_int(k_matrix)) != 1:
-        raise FanError("exponent matrix must be unimodular")
-    r = tuple(int(x) for x in r)
-    if len(r) != d:
-        raise ValueError("vector length mismatch")
-    return tuple(sum(r[i] * k_matrix[i][j] for i in range(d)) for j in range(d))
+    return [tuple(tuple(dt * x for x in row) for row in _cofactors(c.generators))
+            for c, dt in zip(fan.max_cones, cert.cone_dets)]
 
 
 # -- torus elements and fixed points ------------------------------------
@@ -252,20 +233,15 @@ class TorusElement(Report):
     provenance: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.arguments) != self.dim:
-            raise ValueError("argument count must equal dim")
-        if len(self.provenance) != self.dim:
-            raise ValueError("provenance count must equal dim")
+        if not len(self.arguments) == len(self.provenance) == self.dim:
+            raise ValueError("argument and provenance counts must equal dim")
 
     @classmethod
     def from_mau(cls, seq: MAUSequence, indices: list[int]) -> "TorusElement":
-        args, prov = [], []
-        for i in indices:
-            e = seq.entries[i]
-            args.append(e.argument_turns)
-            prov.append(f"mau[{i}]: n={e.source_n} {e.role}")
-        return cls(dim=len(indices), arguments=tuple(args),
-                   provenance=tuple(prov))
+        es = [seq.entries[i] for i in indices]
+        return cls(dim=len(es), arguments=tuple(e.argument_turns for e in es),
+                   provenance=tuple(f"mau[{i}]: n={e.source_n} {e.role}"
+                                    for i, e in zip(indices, es)))
 
     @classmethod
     def explicit(cls, arguments, precision_bits: int = 256) -> "TorusElement":

@@ -280,6 +280,42 @@ def test_malformed_input_file_is_a_validation_error(argv, content, key,
     assert f"{path}: " in report["error"] and repr(key) in report["error"]
 
 
+@pytest.mark.parametrize("argv, content", [
+    # fans of the wrong shape, under each verb that reads a fan
+    (["toric", "check", "IN"], {"dim": 2, "max_cones": [[[1]], [[-1]]]}),
+    (["toric", "fixed-points", "IN", "--mau", "SEQ"],
+     {"dim": 0, "max_cones": [[]]}),
+    (["product", "classify", "SPEC"], {"dim": 2, "max_cones": 5}),
+    (["toric", "check", "IN"],
+     {"dim": 1, "max_cones": [[[1, 0], [0, 1]], [[-1, 0], [0, 1]]]}),
+    (["toric", "check", "IN"], {"dim": 2, "max_cones": [5]}),
+    (["toric", "check", "IN"], {"dim": 1, "max_cones": [[[1.5]], [[-1]]]}),
+    # a number where a list belongs
+    (["mau", "audit", "IN"],
+     {"precision_bits": 512, "degree_bound": 1, "entries": 5}),
+    (["product", "classify", "IN"], {"factors": 5, "mau": "SEQ"}),
+])
+def test_malformed_shape_is_a_validation_error(argv, content, seq_file,
+                                               tmp_path, capsys):
+    # IN is the malformed file; SPEC a product spec with IN as its fan.
+    # In process: an exception that escapes main fails the test as a
+    # traceback would.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content).replace('"SEQ"',
+                                                json.dumps(str(seq_file))))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"factors": [{"type": "toric", "fan": str(path)}],
+                                "mau": str(seq_file)}))
+    files = {"IN": str(path), "SEQ": str(seq_file), "SPEC": str(spec)}
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([files.get(a, a) for a in argv])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 1 and not err, err
+    report = json.loads(out)
+    assert report["kind"] == "validation"
+    assert f"{path}: " in report["error"]
+
+
 @pytest.mark.parametrize("bound", ["0", "-3"])
 @pytest.mark.parametrize("argv", [
     ["mau", "build", "--length", "2"],

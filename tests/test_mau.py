@@ -51,10 +51,26 @@ def test_is_prime_pseudoprime_range():
                                      "witness_base": 23}
     prime, witness = is_prime(365_100_798_113_827)  # q of the length-8 source
     assert prime and len(witness["bases"]) == 12
-    # no small factor, at or beyond psi_12, the end of the test range
-    for n in (318_665_857_834_031_151_167_461, (10**13 + 37) ** 2):
-        with pytest.raises(ValueError, match="no primality proof"):
-            is_prime(n)
+    # psi_12, the end of the test range, passes all 12 bases: no proof
+    with pytest.raises(ValueError, match="no primality proof"):
+        is_prime(318_665_857_834_031_151_167_461)
+
+
+@pytest.mark.parametrize("n", [
+    318_665_857_834_031_151_168_349,    # 41 * 43 * 180 752 046 417 487 890 623
+    (10**13 + 37) ** 2])
+def test_is_prime_finds_composites_above_psi_12(n):
+    # no factor among the 12 bases, above psi_12: a failing base proves
+    # n composite at any size
+    assert n > 318_665_857_834_031_151_167_461
+    assert is_prime(n) == (False, {"method": "strong_pseudoprime",
+                                   "witness_base": 2})
+
+
+def test_is_prime_refuses_a_strong_probable_prime_above_psi_12():
+    # the first strong probable prime of the length-10 scan
+    with pytest.raises(ValueError, match="no primality proof"):
+        is_prime(533_194_371_131_026_085_103_729_915_727)
 
 
 def test_extension_scan_starts_at_the_bound(monkeypatch):
@@ -278,6 +294,33 @@ def test_relation_report_round_trip():
     r = relation_search([Fraction(1, 3), Fraction(1, 6)], 32, 256)
     again = RelationReport.from_json(r.to_json(), "round trip")
     assert again.outcome == r.outcome and again.exponents == r.exponents
+
+
+def test_printed_gap_is_a_lower_bound(monkeypatch, seq4):
+    """The reported gap, parsed at 4000 bits, is at most the certified
+    bound (sqrt(min B*_i - n bound^2) - slack) / 2^p it is printed from."""
+    norms, original = [], mau.lll_reduce
+
+    def recorded(rows):
+        basis, b_norms = original(rows)
+        norms.append(min(b_norms))
+        return basis, b_norms
+
+    monkeypatch.setattr(mau, "lll_reduce", recorded)
+    rng = random.Random(20261019)
+    audits = [(seq4.arguments(), 512)] + [
+        ([mp.ldexp(rng.getrandbits(256), -256) for _ in range(3)], 256)
+        for _ in range(40)]
+    for args, p in audits:
+        rep = relation_search(args, 32, p)
+        assert rep.outcome == "no_relation"
+        n, lam2 = len(args), norms[-1]
+        with mp.workprec(4000):
+            slack = n * 32 * (mp.mpf(1) / 2 + mp.ldexp(
+                max(a.rad for a in rep.arguments), p))
+            exact = mp.ldexp(mp.sqrt(mp.mpf(lam2.numerator) / lam2.denominator
+                                     - n * 32 ** 2) - slack, -p)
+            assert mp.mpf(rep.gap) <= exact, rep.gap
 
 
 def test_planted_random_relations_recovered():

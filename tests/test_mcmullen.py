@@ -165,10 +165,12 @@ def test_steering_evaluates_no_spare_multiprecision_phase(monkeypatch, sign):
             count(module, "pisot_phase")
     count(mcmullen, "phase_circle_root")
     count(mcmullen, "_w_interval")
+    count(mcmullen, "_w_guess")
     assert mcmullen_data(43, 256, sign).siegel_root
     assert calls["phase_circle_root"] == 2
     assert calls["pisot_phase"] == 0
-    assert calls["_w_interval"] == 2
+    # each guess reads its w through _w_interval too, at guess_bits
+    assert calls["_w_interval"] - calls["_w_guess"] == 2
 
 
 def test_split_is_computed_once_per_n(monkeypatch):

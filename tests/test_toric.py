@@ -2,14 +2,16 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from salemforge.mau import relation_search
 from salemforge.toric import (Cone, Fan, FanError,
                               IndependenceEvidenceMissing, TorusElement,
-                              check_fan, det_int, dual_bases, exponent_image,
+                              _cofactors, check_fan, det_int, dual_bases,
                               fixed_points, load_fan)
 
 SHIPPED = ["p1", "plane", "p1xp1", "hirzebruch1", "hirzebruch2",
@@ -113,16 +115,56 @@ def test_dual_bases_round_trip(name):
         assert abs(det_int(k)) == 1
 
 
-def test_exponent_image():
-    ident = ((1, 0), (0, 1))
-    assert exponent_image(ident, (0, 0)) == (0, 0)
-    assert exponent_image(ident, (3, -1)) == (3, -1)
-    k = ((0, 1), (-1, -1))        # dual basis of a plane-fan cone
-    for r in [(1, 0), (0, -2), (5, 7), (-3, 4)]:
-        s = exponent_image(k, r)
-        assert s != (0, 0)
-    with pytest.raises(FanError):
-        exponent_image(((1, 0), (0, 2)), (1, 1))
+@st.composite
+def unimodular_matrices(draw):
+    """A d x d product of elementary matrices (shears and a row sign)."""
+    d = draw(st.integers(1, 6))
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        c = draw(st.integers(-3, 3))
+        m[i] = [-x for x in m[i]] if i == j else [
+            x + c * y for x, y in zip(m[i], m[j])]
+    return tuple(map(tuple, m))
+
+
+def projective_fan(d, u=None):
+    """The fan of P^d: rays e_1..e_d and -(e_1 + ... + e_d), every
+    d-subset a cone, each ray mapped to ray . u when u is given; the
+    first cone's generators are the identity, or u."""
+    rays = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    rays.append((-1,) * d)
+    if u is not None:
+        rays = [tuple(sum(r[t] * u[t][j] for t in range(d)) for j in range(d))
+                for r in rays]
+    return Fan(dim=d, max_cones=tuple(map(Cone, combinations(rays, d))))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_projective_fan_passes(d):
+    cert = check_fan(projective_fan(d))
+    assert cert.passed, cert.failures
+    assert cert.n_cones == d + 1
+    assert all(abs(dt) == 1 for dt in cert.cone_dets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unimodular_matrices())
+def test_cofactor_rows_and_dual_bases_of_unimodular_matrices(m):
+    d = len(m)
+    det = det_int(m)
+    assert abs(det) == 1
+    for k, row in enumerate(_cofactors(m)):
+        for i in range(d):
+            assert sum(a * b for a, b in zip(row, m[i])) == (det if i == k else 0)
+    # P^d mapped by m is smooth and complete, and m is its first cone
+    fan = projective_fan(d, m)
+    assert fan.max_cones[0].generators == m
+    for cone, k in zip(fan.max_cones, dual_bases(fan)):
+        g = cone.generators
+        assert [[sum(a * b for a, b in zip(g[i], k[j])) for j in range(d)]
+                for i in range(d)] == [[int(i == j) for j in range(d)]
+                                       for i in range(d)]
 
 
 def test_fixed_points_counts_and_identity_cone():
@@ -184,7 +226,8 @@ def test_eigenvalue_tuple_stays_independent():
             r = (rng.randint(-10, 10), rng.randint(-10, 10))
             if r == (0, 0):
                 continue
-            s = exponent_image(pt.dual_basis, r)
+            s = tuple(sum(r[i] * pt.dual_basis[i][j] for i in range(2))
+                      for j in range(2))
             assert s != (0, 0)
             with mp.workprec(600):
                 comb = mp.fsum(ri * a.mid for ri, a in
