@@ -2,8 +2,9 @@
 
 Every report embeds the run configuration; every real-valued field is a
 decimal string with an explicit radius sibling.  Exit codes: 0 success,
-1 validation/precondition failure, 2 internal-consistency failure
-(oracle mismatch, failed certificate), 64 usage error.
+1 validation/precondition failure (a ValueError or OSError), 2
+internal-consistency failure (a RuntimeError: oracle mismatch, failed
+certificate), 64 usage error.
 """
 
 from __future__ import annotations
@@ -14,17 +15,11 @@ from typing import Optional
 
 import click
 
-from .coxeter import (FormulaConsistencyError, StructureError,
-                      en_from_formula, en_from_matrix, salem_factor,
+from .coxeter import (en_from_formula, en_from_matrix, salem_factor,
                       salem_pattern)
-from .roots import IsolationError
-from .mcmullen import (IntegralityFailure, NoSiegelRoot,
-                       integrality_certificate, mcmullen_data)
-from .mau import (DegreeCertificateFailure, IndependenceFalsified,
-                  PrecisionTooLow, WitnessFailure, json_fields, load_sequence,
-                  mau_build, relation_search)
-from .toric import (IndependenceEvidenceMissing, TorusElement, check_fan,
-                    fixed_points, load_fan)
+from .mcmullen import integrality_certificate, mcmullen_data
+from .mau import json_fields, load_sequence, mau_build, relation_search
+from .toric import TorusElement, check_fan, fixed_points, load_fan
 from .product import (SpecError, build_product_spec, product_entropy,
                       siegel_count)
 
@@ -40,14 +35,6 @@ class ConsistencyFailure(RuntimeError):
     def __init__(self, message: str, report: dict):
         super().__init__(message)
         self.report = report
-
-
-_VALIDATION_ERRORS = (ValueError, PrecisionTooLow, IndependenceEvidenceMissing,
-                      FileNotFoundError)
-_CONSISTENCY_ERRORS = (ConsistencyFailure, FormulaConsistencyError,
-                       StructureError, DegreeCertificateFailure,
-                       WitnessFailure, IndependenceFalsified, IsolationError,
-                       NoSiegelRoot, IntegralityFailure)
 
 
 def _emit(report: dict, out, precision: int = 0, bound: int = 0,
@@ -235,20 +222,14 @@ def toric_fixed_points(fan_file, seq_file, precision, bound, out):
 def _spec_from_file(spec_file: str, precision: int):
     with open(spec_file) as fh:
         data = json.load(fh)
-    seq_file, factors = json_fields(data, spec_file, "mau", "factors",
-                                    lists=("factors",))
+    seq_file, factors = json_fields(data, spec_file, mau=str, factors=list)
     seq = load_sequence(seq_file)
     descriptors = []
     for f in factors:
-        kind, = json_fields(f, spec_file, "type")
-        if kind == "mcmullen":
-            n, = json_fields(f, spec_file, "n")
-            descriptors.append(("mcmullen", int(n)))
-        elif kind == "toric":
-            fan, = json_fields(f, spec_file, "fan")
-            descriptors.append(("toric", fan))
-        else:
-            raise SpecError(f"unknown factor type {kind!r}")
+        kind, = json_fields(f, spec_file, type=str)
+        # an unknown type is refused by build_product_spec
+        keys = {"mcmullen": {"n": int}, "toric": {"fan": str}}.get(kind, {})
+        descriptors.append((kind, *json_fields(f, spec_file, **keys)))
     return build_product_spec(descriptors, seq, precision)
 
 
@@ -300,10 +281,10 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         sys.exit(EXIT_INVALID)
-    except click.exceptions.Abort:
+    except click.exceptions.Abort:   # a RuntimeError, so handled first
         sys.exit(EXIT_INVALID)
-    except (*_CONSISTENCY_ERRORS, *_VALIDATION_ERRORS) as exc:
-        consistency = isinstance(exc, _CONSISTENCY_ERRORS)
+    except (ValueError, OSError, RuntimeError) as exc:
+        consistency = isinstance(exc, RuntimeError)
         kind = "consistency" if consistency else "validation"
         detail = ({"report": exc.report} if isinstance(exc, ConsistencyFailure)
                   else {"type": type(exc).__name__})

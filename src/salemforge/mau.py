@@ -25,7 +25,7 @@ from .roots import (GUARD_BITS, ComplexBall, RealBall, Report, as_real_ball,
                     int_combination, turns_mod1)
 
 
-class PrecisionTooLow(RuntimeError):
+class PrecisionTooLow(ValueError):
     """Argument radii too coarse for the requested relation bound."""
 
     def __init__(self, message: str, required_bits: int):
@@ -182,18 +182,21 @@ class RelationReport(Report):
     @classmethod
     def from_json(cls, data: dict, source) -> "RelationReport":
         prec, raw, bound, outcome = json_fields(
-            data, source, "precision_bits", "arguments", "bound", "outcome",
-            lists=("arguments",))
-        prec = int(prec)
-        args = tuple(_ball_from_json(a, prec, source) for a in raw)
-        res = data.get("residual")
-        return cls(arguments=args, bound=int(bound),
-                   precision_bits=prec, outcome=outcome,
-                   exponents=(tuple(data["exponents"])
-                              if data.get("exponents") else None),
+            data, source, precision_bits=int, arguments=list, bound=int,
+            outcome=str)
+        optional = {key: kind for key, kind in (
+            ("exponents", list), ("residual", dict), ("gap", str),
+            ("notes", list)) if data.get(key) is not None}
+        opt = dict(zip(optional, json_fields(data, source, **optional)))
+        res = opt.get("residual")
+        return cls(arguments=tuple(_ball_from_json(a, prec, source)
+                                   for a in raw),
+                   bound=bound, precision_bits=prec, outcome=outcome,
+                   exponents=(tuple(opt["exponents"])
+                              if opt.get("exponents") else None),
                    residual=_ball_from_json(res, prec, source) if res else None,
-                   gap=data.get("gap"),
-                   notes=tuple(data.get("notes", _AUDIT_NOTES)))
+                   gap=opt.get("gap"),
+                   notes=tuple(opt.get("notes", _AUDIT_NOTES)))
 
 
 def _residual_ball(args: list[RealBall], m, precision_bits: int) -> RealBall:
@@ -358,30 +361,46 @@ class MAUSequence(Report):
 
 
 def _ball_from_json(data: dict, prec: int, source) -> RealBall:
-    mid, rad = json_fields(data, source, "mid", "radius")
-    with mp.workprec(max(2 * prec, 4 * len(mid)) + GUARD_BITS):
-        return RealBall(mp.mpf(mid), mp.mpf(rad))
+    return RealBall(*_ball_decimals(data, source, prec, "mid"))
 
 
 def _cball_from_json(data: dict, source) -> ComplexBall:
-    prec, re, im, rad = json_fields(data, source, "precision_bits", "re",
-                                    "im", "radius")
-    prec = int(prec)
-    with mp.workprec(max(2 * prec, 4 * len(re)) + GUARD_BITS):
-        return ComplexBall(mp.mpc(mp.mpf(re), mp.mpf(im)), mp.mpf(rad), prec)
+    prec, = json_fields(data, source, precision_bits=int)
+    re, im, rad = _ball_decimals(data, source, prec, "re", "im")
+    return ComplexBall(mp.make_mpc((re._mpf_, im._mpf_)), rad, prec)
 
 
-def json_fields(data, source, *keys, lists=()) -> tuple:
-    """The values of keys in the parsed JSON object data, or ValueError
-    naming source and the first key it lacks, or the first key in lists
-    whose value is not a list."""
-    for key in keys:
+def _ball_decimals(data, source, prec: int, *keys: str) -> list:
+    """A stored ball's decimals at keys and "radius" as mpfs, parsed at
+    max(2 prec, 4 len(first)) + GUARD_BITS bits; ValueError naming source
+    unless 1 <= prec <= 2^20, every value is finite and the radius >= 0."""
+    keys += ("radius",)
+    texts = json_fields(data, source, **dict.fromkeys(keys, str))
+    if not 1 <= prec <= 1 << 20:
+        raise ValueError(f"{source}: precision_bits {prec} is not in [1, 2^20]")
+    try:
+        with mp.workprec(max(2 * prec, 4 * len(texts[0])) + GUARD_BITS):
+            values = [mp.mpf(t) for t in texts]
+    except ValueError:
+        values = [mp.nan]
+    if not all(map(mp.isfinite, values)) or values[-1] < 0:
+        raise ValueError(f"{source}: ball {dict(zip(keys, texts))} needs "
+                         f"finite decimals and a radius >= 0")
+    return values
+
+
+def json_fields(data, source, **kinds) -> tuple:
+    """The values of the keys in the parsed JSON object data, each key
+    named with its JSON kind (int, str, list or dict; a bool is no int),
+    or ValueError naming source and the first key that is missing or of
+    another kind."""
+    for key, kind in kinds.items():
         if not isinstance(data, dict) or key not in data:
             raise ValueError(f"{source}: missing key {key!r}")
-    for key in lists:
-        if not isinstance(data[key], list):
-            raise ValueError(f"{source}: key {key!r} must be a list")
-    return tuple(data[key] for key in keys)
+        if type(data[key]) is not kind:
+            raise ValueError(f"{source}: key {key!r} must be of kind "
+                             f"{kind.__name__}, not {type(data[key]).__name__}")
+    return tuple(data[key] for key in kinds)
 
 
 def load_sequence(path) -> MAUSequence:
@@ -392,18 +411,18 @@ def load_sequence(path) -> MAUSequence:
     """
     with open(path) as fh:
         data = json.load(fh)
-    prec, raw, bound = json_fields(data, path, "precision_bits", "entries",
-                                   "degree_bound", lists=("entries",))
-    prec, entries = int(prec), []
+    prec, raw, bound = json_fields(data, path, precision_bits=int,
+                                   entries=list, degree_bound=int)
+    entries = []
     for e in raw:
-        value, turns, n, role = json_fields(e, path, "value", "argument_turns",
-                                            "source_n", "role")
+        value, turns, n, role = json_fields(
+            e, path, value=dict, argument_turns=dict, source_n=int, role=str)
         entries.append(MAUEntry(value=_cball_from_json(value, path),
                                 argument_turns=_ball_from_json(turns, prec, path),
-                                source_n=int(n), role=role))
+                                source_n=n, role=role))
     audit = (RelationReport.from_json(data["relation_audit"], path)
-             if data.get("relation_audit") else None)
-    return MAUSequence(entries=tuple(entries), degree_bound=int(bound),
+             if data.get("relation_audit") is not None else None)
+    return MAUSequence(entries=tuple(entries), degree_bound=bound,
                        certificates=(), relation_audit=audit,
                        precision_bits=prec)
 

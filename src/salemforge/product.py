@@ -21,7 +21,7 @@ from .mau import (MAUSequence, RelationReport, relation_search,
                   PrecisionTooLow)
 from .mcmullen import IntegralityFailure, integrality_certificate
 from .roots import RealBall, Report, as_real_ball, log_ball, phase_eta
-from .toric import (Fan, TorusElement, ToricFixedPoint, check_fan,
+from .toric import (Fan, FanError, TorusElement, ToricFixedPoint,
                     fixed_points as toric_fixed_points, load_fan)
 
 SIEGEL = "SiegelArithmetic"
@@ -114,16 +114,16 @@ def build_product_spec(descriptors: list, joint_mau: MAUSequence,
             if toric_seen > 1:
                 raise SpecError("at most one toric factor is allowed")
             fan = load_fan(desc[1])
-            cert = check_fan(fan)
-            if not cert.passed:
-                raise SpecError("toric factor rejected: " + cert.failures[0])
             d = fan.dim
             if cursor + d > len(joint_mau):
                 raise SpecError("sequence exhausted before all factors filled")
             idx = tuple(range(cursor, cursor + d))
             element = TorusElement.from_mau(joint_mau, list(idx))
-            fixed = tuple(toric_fixed_points(
-                fan, element, joint_mau.relation_audit, precision_bits))
+            try:   # the fan is certified here, once
+                fixed = tuple(toric_fixed_points(
+                    fan, element, joint_mau.relation_audit, precision_bits))
+            except FanError as exc:
+                raise SpecError(f"toric factor {desc[1]!r}: {exc}") from None
             factors.append(ToricFactor(fan=fan, element=element,
                                        entry_indices=idx, fixed=fixed))
             cursor += d

@@ -36,7 +36,7 @@ class FanError(ValueError):
     """Fan data violates a named shape, smoothness or completeness condition."""
 
 
-class IndependenceEvidenceMissing(RuntimeError):
+class IndependenceEvidenceMissing(ValueError):
     """Fixed-point enumeration refused: no certified independence audit."""
 
 
@@ -84,7 +84,7 @@ class Cone:
         g = self.generators
         if not (isinstance(g, (list, tuple)) and all(
                 isinstance(r, (list, tuple)) and len(r) == len(g)
-                and all(isinstance(x, int) for x in r) for r in g)):
+                and all(type(x) is int for x in r) for r in g)):
             raise FanError(f"cone {g!r} is not a square matrix of integers")
         object.__setattr__(self, "generators", tuple(map(tuple, g)))
         for row in self.generators:
@@ -117,7 +117,7 @@ class Fan:
 
     @classmethod
     def from_json(cls, data) -> "Fan":
-        return cls(*json_fields(data, "fan data", "dim", "max_cones"))
+        return cls(*json_fields(data, "fan data", dim=int, max_cones=list))
 
     def to_json(self) -> dict:
         return {"dim": self.dim,

@@ -8,6 +8,7 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from salemforge import cli, mcmullen
 
@@ -254,6 +255,20 @@ def test_toric_fixed_points_from_sequence(seq_file):
 _SPEC = {"factors": [{"type": "mcmullen", "n": 19}], "mau": "SEQ"}
 
 
+class SeqWith(tuple):
+    """Stands for the well-formed sequence file with the value at a key
+    path replaced: SeqWith((keys, value))."""
+
+    def applied_to(self, seq_file):
+        keys, value = self
+        data = json.loads(seq_file.read_text())
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return data
+
+
 @pytest.mark.parametrize("argv, content, key", [
     (["toric", "check"], {"dim": 2}, "max_cones"),
     (["product", "classify"], {"factors": _SPEC["factors"]}, "mau"),
@@ -290,16 +305,37 @@ def test_malformed_input_file_is_a_validation_error(argv, content, key,
      {"dim": 1, "max_cones": [[[1, 0], [0, 1]], [[-1, 0], [0, 1]]]}),
     (["toric", "check", "IN"], {"dim": 2, "max_cones": [5]}),
     (["toric", "check", "IN"], {"dim": 1, "max_cones": [[[1.5]], [[-1]]]}),
+    (["toric", "check", "IN"], {"dim": 1, "max_cones": [[[True]], [[-1]]]}),
     # a number where a list belongs
     (["mau", "audit", "IN"],
      {"precision_bits": 512, "degree_bound": 1, "entries": 5}),
     (["product", "classify", "IN"], {"factors": 5, "mau": "SEQ"}),
+    # a value of another JSON kind; a float or a bool is no int
+    (["mau", "audit", "IN"], SeqWith((["precision_bits"], [512]))),
+    (["mau", "audit", "IN"], SeqWith((["precision_bits"], 512.9))),
+    (["mau", "audit", "IN"], SeqWith((["precision_bits"], True))),
+    # a ball is parsed at twice its precision, which must be in [1, 2^20]
+    (["mau", "audit", "IN"], SeqWith((["precision_bits"], 0))),
+    (["mau", "audit", "IN"],
+     SeqWith((["entries", 0, "value", "precision_bits"], 1 << 40))),
+    (["mau", "audit", "IN"], SeqWith((["degree_bound"], {}))),
+    (["mau", "audit", "IN"], SeqWith((["entries", 0, "source_n"], [19]))),
+    (["mau", "audit", "IN"],
+     SeqWith((["entries", 0, "argument_turns", "mid"], 5))),
+    (["mau", "audit", "IN"], SeqWith((["entries", 0, "value", "re"], [1]))),
+    (["mau", "audit", "IN"], SeqWith((["relation_audit", "bound"], [3]))),
+    (["mau", "audit", "IN"], SeqWith((["relation_audit", "notes"], 5))),
+    (["product", "classify", "IN"],
+     {"factors": [{"type": "mcmullen", "n": [19]}], "mau": "SEQ"}),
+    (["product", "classify", "IN"], {**_SPEC, "mau": 5}),
 ])
 def test_malformed_shape_is_a_validation_error(argv, content, seq_file,
                                                tmp_path, capsys):
     # IN is the malformed file; SPEC a product spec with IN as its fan.
     # In process: an exception that escapes main fails the test as a
     # traceback would.
+    if isinstance(content, SeqWith):
+        content = content.applied_to(seq_file)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content).replace('"SEQ"',
                                                 json.dumps(str(seq_file))))
@@ -314,6 +350,93 @@ def test_malformed_shape_is_a_validation_error(argv, content, seq_file,
     report = json.loads(out)
     assert report["kind"] == "validation"
     assert f"{path}: " in report["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["mau", "audit", "DIR"],
+    ["mau", "audit", "SEQ", "--out", "DIR"],
+    ["toric", "fixed-points", "plane", "--mau", "DIR"],
+])
+def test_a_directory_for_a_file_is_a_validation_error(argv, seq_file,
+                                                      tmp_path, capsys):
+    files = {"DIR": str(tmp_path), "SEQ": str(seq_file)}
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([files.get(a, a) for a in argv])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 1 and not err, err
+    report = json.loads(out)
+    assert report["kind"] == "validation"
+    assert report["type"] == "IsADirectoryError"
+
+
+@pytest.mark.parametrize("radius", ["-1e-100", "-0.4", "nan", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["mau", "audit", "IN"],
+    ["toric", "fixed-points", "plane", "--mau", "IN"],
+    ["product", "classify", "SPEC"],
+])
+def test_a_dishonest_radius_is_refused(argv, radius, seq_file, tmp_path,
+                                       capsys):
+    # a ball is [mid - radius, mid + radius]: a negative radius would
+    # shrink every bound built on it
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(SeqWith(
+        (["entries", 0, "argument_turns", "radius"], radius)
+    ).applied_to(seq_file)))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"factors": [{"type": "mcmullen", "n": 739}], "mau": str(path)}))
+    files = {"IN": str(path), "SPEC": str(spec)}
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([files.get(a, a) for a in argv] + ["--precision", "512"])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 1 and not err, err
+    report = json.loads(out)
+    assert report["kind"] == "validation"
+    assert f"{path}: " in report["error"] and "radius" in report["error"]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.decimals().map(str) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def _key_paths(node, keys=()):
+    """The key path of every node of a parsed JSON document; the
+    extension certificates, which no reader reads, count as one node."""
+    yield keys
+    if keys == ("certificates",):
+        return
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from _key_paths(node[key], keys + (key,))
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _key_paths(item, keys + (i,))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_json_in_a_stored_sequence_ends_in_an_exit_code(
+        data, seq_file, tmp_path, capsys):
+    # one leaf or subtree of a well-formed sequence replaced by random
+    # JSON; in process, so a traceback fails the test
+    doc = json.loads(seq_file.read_text())
+    keys = data.draw(st.sampled_from(list(_key_paths(doc))))
+    value = data.draw(_JSON)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(SeqWith((keys, value)).applied_to(seq_file)
+                               if keys else value))
+    try:
+        code = cli.main(["mau", "audit", str(path), "--precision", "64"])
+    except SystemExit as exit_:
+        code = exit_.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2) and not err, err
 
 
 @pytest.mark.parametrize("bound", ["0", "-3"])

@@ -1,10 +1,13 @@
 """Product fixed-point enumeration, classification, and entropy."""
 
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import mpmath as mp
 import pytest
 
+from salemforge import toric
 from salemforge.product import (FixedPoint, McMullenFactor, ProductSpec,
                                 SpecError, build_product_spec, classify,
                                 enumerate_fixed_points, product_entropy,
@@ -44,6 +47,26 @@ def test_spec_rejects_two_toric_factors(seq19_739):
     with pytest.raises(SpecError):
         build_product_spec([("toric", "p1"), ("toric", "plane")],
                            seq19_739.truncate(3))
+
+
+def test_a_toric_factor_is_certified_once(seq19_739):
+    # counted by code object, so a call through any binding counts
+    names = {toric.check_fan.__code__: "check_fan",
+             toric._cofactors.__code__: "_cofactors"}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            calls[names[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        build_product_spec([("mcmullen", 19), ("toric", "plane")], seq19_739)
+    finally:
+        sys.setprofile(None)
+    # one certificate, and one cofactor matrix per cone for it and for
+    # the dual bases
+    assert calls == {"check_fan": 1, "_cofactors": 6}
 
 
 def test_enumeration_counts(spec_plane, spec_double):
