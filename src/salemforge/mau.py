@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -373,20 +374,20 @@ def _cball_from_json(data: dict, source) -> ComplexBall:
 def _ball_decimals(data, source, prec: int, *keys: str) -> list:
     """A stored ball's decimals at keys and "radius" as mpfs, parsed at
     max(2 prec, 4 len(first)) + GUARD_BITS bits; ValueError naming source
-    unless 1 <= prec <= 2^20, every value is finite and the radius >= 0."""
+    unless 1 <= prec <= 2^20, every value is an ASCII decimal
+    [+-]d+(.d+)?(e[+-]d+)? and the radius >= 0."""
     keys += ("radius",)
     texts = json_fields(data, source, **dict.fromkeys(keys, str))
     if not 1 <= prec <= 1 << 20:
         raise ValueError(f"{source}: precision_bits {prec} is not in [1, 2^20]")
-    try:
+    if all(re.fullmatch(r"[+-]?\d+(\.\d+)?(e[+-]?\d+)?", t, re.ASCII)
+           for t in texts):
         with mp.workprec(max(2 * prec, 4 * len(texts[0])) + GUARD_BITS):
             values = [mp.mpf(t) for t in texts]
-    except ValueError:
-        values = [mp.nan]
-    if not all(map(mp.isfinite, values)) or values[-1] < 0:
-        raise ValueError(f"{source}: ball {dict(zip(keys, texts))} needs "
-                         f"finite decimals and a radius >= 0")
-    return values
+        if values[-1] >= 0:
+            return values
+    raise ValueError(f"{source}: ball {dict(zip(keys, texts))} needs "
+                     f"finite decimals and a radius >= 0")
 
 
 def json_fields(data, source, **kinds) -> tuple:

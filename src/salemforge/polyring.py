@@ -101,12 +101,6 @@ class IntPoly:
             e >>= 1
         return result
 
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
     def divmod(self, q: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
         """Exact (quotient, remainder) with p = q*quot + rem, deg rem < deg q.
 
@@ -116,21 +110,10 @@ class IntPoly:
             raise NonMonicDivisorError(f"divisor must be monic, got {q!r}")
         return _scaled_div(self, q)
 
-    # -- evaluation and structure -------------------------------------
-
-    def eval_int(self, t: int) -> int:
-        """Exact p(t) by Horner."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+    # -- structure -----------------------------------------------------
 
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def reverse(self) -> "IntPoly":
-        """Coefficient reversal x^deg * p(1/x)."""
-        return IntPoly(tuple(reversed(self.coeffs)))
 
     def is_reciprocal(self) -> bool:
         """True iff the coefficient sequence is palindromic."""

@@ -2,12 +2,16 @@
 
 A product couples surface factors (each contributing the fixed points P
 and Q of its birational model, with certified eigenvalue data at Q) with
-at most one toric factor (one fixed point per maximal cone).  A fixed
-point is an arithmetic Siegel candidate only at an all-Q address whose
-concatenated eigenvalue arguments pass the joint relation audit; any P
-in the address disqualifies it outright, since the eigenvalues there are
-multiplicatively dependent.  Entropy adds over surface factors and is
-zero on toric ones.
+at most one toric factor (one fixed point per maximal cone).  Any P in
+an address makes the point non-Siegel (dependent eigenvalues).  An all-Q
+point's arguments are the sequence's under a unimodular map: a surface
+pair as it is, the toric ones as K_c theta mod 1 at the point of cone c.
+So a relation m there with |m| <= B is the nonzero sequence relation
+m' = (m_S, K_c^T m_T) with |m'| <= s B, s = max_c ||K_c^T||_inf, and a
+sequence relation m' is m = (m'_S, G_c m'_T) there, as the cone's
+generators have G_c K_c^T = I: one relation search over the sequence at
+bound s B decides every all-Q point.  Entropy adds over surface factors
+and is zero on toric ones.
 """
 
 from __future__ import annotations
@@ -176,53 +180,64 @@ def enumerate_fixed_points(spec: ProductSpec) -> list[FixedPoint]:
     return out
 
 
-def classify(fp: FixedPoint, bound: int = 32,
-             precision_bits: int = 512) -> FixedPoint:
-    """Attach a classification; Undetermined is the honest fallback.
+def _point_exponents(spec: ProductSpec, address: tuple, m) -> list[int]:
+    """The sequence relation m as (m_S, G_c m_T) at the all-Q address."""
+    return [x for f, c in zip(spec.factors, address) for x in (
+        [m[i] for i in f.entry_indices] if isinstance(f, McMullenFactor)
+        else [sum(g * m[i] for g, i in zip(row, f.entry_indices))
+              for row in f.fan.max_cones[c].generators])]
 
-    Any P component is immediately non-Siegel (dependent eigenvalues at
-    P).  An all-Q address passes only if the joint relation audit over
-    the concatenated eigenvalue arguments finds no relation; a verified
-    relation is itself a dependence witness, hence non-Siegel.
-    """
+
+def classify(fp: FixedPoint, spec: ProductSpec,
+             search: Union[RelationReport, PrecisionTooLow, None],
+             bound: int = 32) -> FixedPoint:
+    """Attach a classification from siegel_count's one relation search
+    over the sequence (the module docstring says why it decides fp);
+    Undetermined is the honest fallback."""
     if fp.contains_p:
-        return replace(fp, classification=NONSIEGEL,
-                       evidence={"reason": "address contains a P component",
-                                 "note": _ANALYTIC_NOTE})
-    if not fp.eigenvalue_arguments:
-        return replace(fp, classification=SIEGEL,
-                       evidence={"reason": "empty product, vacuous pass",
-                                 "note": _ANALYTIC_NOTE})
-    try:
-        report = relation_search(list(fp.eigenvalue_arguments),
-                                 bound, precision_bits)
-    except PrecisionTooLow as exc:
-        return replace(fp, classification=UNDETERMINED,
-                       evidence={"reason": str(exc),
-                                 "remediation": {
-                                     "raise_precision_to": exc.required_bits},
-                                 "note": _ANALYTIC_NOTE})
-    if report.outcome == "no_relation":
-        return replace(fp, classification=SIEGEL,
-                       evidence={"relation_audit": report.to_json(),
-                                 "on_circle": "by argument representation",
-                                 "algebraic_integers": "certified per source",
-                                 "note": _ANALYTIC_NOTE})
-    return replace(fp, classification=NONSIEGEL,
-                   evidence={"reason": "verified multiplicative relation",
-                             "relation_audit": report.to_json(),
-                             "note": _ANALYTIC_NOTE})
+        label, evidence = NONSIEGEL, {
+            "reason": "address contains a P component"}
+    elif not fp.eigenvalue_arguments:
+        label, evidence = SIEGEL, {"reason": "empty product, vacuous pass"}
+    elif isinstance(search, PrecisionTooLow):
+        label, evidence = UNDETERMINED, {
+            "reason": str(search),
+            "remediation": {"raise_precision_to": search.required_bits}}
+    elif search.outcome == "no_relation":
+        label, evidence = SIEGEL, {
+            "relation_audit": search.to_json(), "bound": bound,
+            "on_circle": "by argument representation",
+            "algebraic_integers": "certified per source"}
+    else:
+        label, evidence = NONSIEGEL, {
+            "reason": "verified multiplicative relation",
+            "relation_audit": search.to_json(), "bound": bound,
+            "exponents": _point_exponents(spec, fp.address, search.exponents)}
+    return replace(fp, classification=label,
+                   evidence={**evidence, "note": _ANALYTIC_NOTE})
 
 
 def siegel_count(spec: ProductSpec, bound: int = 32,
                  precision_bits: int | None = None) -> tuple[int, list[FixedPoint]]:
     """(number of arithmetic Siegel points, full classified report).
 
+    One relation search over the sequence at bound s B decides every
+    all-Q point (module docstring); an empty product runs none.
     Undetermined points appear in the report but are never counted.
     """
     if precision_bits is None:
         precision_bits = spec.precision_bits
-    report = [classify(fp, bound, precision_bits)
+    stretch = max((sum(map(abs, col)) for f in spec.factors
+                   if isinstance(f, ToricFactor) for p in f.fixed
+                   for col in zip(*p.dual_basis)), default=1)
+    search = None
+    if spec.factors:
+        try:
+            search = relation_search(spec.joint_mau.arguments(),
+                                     bound * stretch, precision_bits)
+        except PrecisionTooLow as exc:
+            search = exc
+    report = [classify(fp, spec, search, bound)
               for fp in enumerate_fixed_points(spec)]
     count = sum(1 for fp in report if fp.classification == SIEGEL)
     return count, report

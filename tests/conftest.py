@@ -1,11 +1,26 @@
 """Shared fixtures; the expensive pipeline artifacts are session-scoped."""
 
+from itertools import combinations
+
 import pytest
 
 from salemforge import mcmullen
 from salemforge.coxeter import salem_factor
 from salemforge.mcmullen import mcmullen_data
 from salemforge.mau import mau_build, mau_seed
+from salemforge.toric import Cone, Fan
+
+
+def projective_fan(d, u=None):
+    """The fan of P^d: rays e_1..e_d and -(e_1 + ... + e_d), every
+    d-subset a cone, each ray mapped to ray . u when u is given; the
+    first cone's generators are the identity, or u."""
+    rays = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    rays.append((-1,) * d)
+    if u is not None:
+        rays = [tuple(sum(r[t] * u[t][j] for t in range(d)) for j in range(d))
+                for r in rays]
+    return Fan(dim=d, max_cones=tuple(map(Cone, combinations(rays, d))))
 
 
 @pytest.fixture(autouse=True)

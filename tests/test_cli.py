@@ -328,6 +328,15 @@ def test_malformed_input_file_is_a_validation_error(argv, content, key,
     (["product", "classify", "IN"],
      {"factors": [{"type": "mcmullen", "n": [19]}], "mau": "SEQ"}),
     (["product", "classify", "IN"], {**_SPEC, "mau": 5}),
+    # strings mp.mpf would parse that are no ASCII decimals
+    (["mau", "audit", "IN"],
+     SeqWith((["entries", 0, "argument_turns", "mid"], "1/3"))),
+    (["mau", "audit", "IN"],
+     SeqWith((["entries", 0, "argument_turns", "radius"], "1_0"))),
+    (["mau", "audit", "IN"],
+     SeqWith((["entries", 0, "value", "re"], " 1 "))),
+    (["mau", "audit", "IN"],     # an Arabic-Indic three
+     SeqWith((["entries", 0, "value", "im"], "\u0663"))),
 ])
 def test_malformed_shape_is_a_validation_error(argv, content, seq_file,
                                                tmp_path, capsys):

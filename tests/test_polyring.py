@@ -23,7 +23,6 @@ def test_degree_of_zero_raises():
 
 def test_eval_and_str():
     p = poly(-1, 0, 1)          # x^2 - 1
-    assert p.eval_int(3) == 8
     assert str(p) == "x^2 - 1"
     assert str(IntPoly()) == "0"
 
@@ -44,12 +43,6 @@ def test_divmod_rejects_non_monic():
 def test_reciprocal_and_reverse():
     assert poly(1, -3, 1).is_reciprocal()
     assert not poly(1, 2).is_reciprocal()
-    assert poly(1, 2, 3).reverse() == poly(3, 2, 1)
-
-
-def test_shift_is_monomial_multiplication():
-    p = poly(1, 1)
-    assert p.shift(3) == p * monomial(3)
 
 
 def test_json_round_trip():
@@ -68,13 +61,6 @@ def test_mul_commutes(a, b):
 def test_mul_distributes(a, b, c):
     pa, pb, pc = IntPoly(a), IntPoly(b), IntPoly(c)
     assert pa * (pb + pc) == pa * pb + pa * pc
-
-
-@given(coeff_lists, st.integers(min_value=-9, max_value=9))
-@settings(max_examples=60, deadline=None)
-def test_eval_is_ring_hom(a, t):
-    p = IntPoly(a)
-    assert (p * p).eval_int(t) == p.eval_int(t) ** 2
 
 
 def test_gcd_of_common_factor():

@@ -1,5 +1,6 @@
 """Product fixed-point enumeration, classification, and entropy."""
 
+import json
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -7,15 +8,17 @@ from dataclasses import replace
 import mpmath as mp
 import pytest
 
-from salemforge import toric
-from salemforge.product import (FixedPoint, McMullenFactor, ProductSpec,
-                                SpecError, build_product_spec, classify,
+from salemforge import mau, toric
+from salemforge.product import (ProductSpec, SpecError, build_product_spec,
                                 enumerate_fixed_points, product_entropy,
                                 siegel_count, SIEGEL, NONSIEGEL,
                                 UNDETERMINED)
 from salemforge.coxeter import salem_factor
-from salemforge.mau import MAUSequence
+from salemforge.mau import MAUSequence, _residual_ball
 from salemforge.mcmullen import IntegralityFailure
+from salemforge.roots import int_combination, turns_mod1
+
+from conftest import projective_fan
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +30,14 @@ def spec_plane(seq19_739):
 @pytest.fixture(scope="module")
 def spec_double(seq4):
     return build_product_spec([("mcmullen", 739), ("mcmullen", 3259)], seq4)
+
+
+def surface_times_projective(seq8, d, tmp_path):
+    """mcmullen 739 x P^d over the first 2 + d entries of seq8."""
+    fan = tmp_path / f"p{d}.json"
+    fan.write_text(json.dumps(projective_fan(d).to_json()))
+    return build_product_spec([("mcmullen", 739), ("toric", str(fan))],
+                              seq8.truncate(2 + d))
 
 
 def test_spec_requires_exact_entry_consumption(seq19_739):
@@ -80,15 +91,19 @@ def test_empty_product_has_one_fixed_point(seq19_739):
     pts = enumerate_fixed_points(spec)
     assert len(pts) == 1
     assert pts[0].eigenvalue_arguments == ()
-    assert classify(pts[0]).classification == SIEGEL
+    # no search runs: one over no arguments would raise
+    count, report = siegel_count(spec)
+    assert count == 1 and report[0].classification == SIEGEL
+    assert report[0].evidence["reason"] == "empty product, vacuous pass"
 
 
 def test_p_addresses_are_nonsiegel(spec_plane):
-    for fp in enumerate_fixed_points(spec_plane):
-        if "P" in fp.address:
-            out = classify(fp, 32, 512)
-            assert out.classification == NONSIEGEL
-            assert "P" in out.evidence["reason"]
+    _, report = siegel_count(spec_plane, 32, 512)
+    p_points = [fp for fp in report if "P" in fp.address]
+    assert len(p_points) == 3
+    for fp in p_points:
+        assert fp.classification == NONSIEGEL
+        assert "P" in fp.evidence["reason"]
 
 
 def test_plane_product_counts(spec_plane):
@@ -174,8 +189,68 @@ def test_pure_toric_entropy_is_zero(seq19_739):
 def test_undetermined_on_coarse_precision(spec_plane):
     # classify at a precision far above the stored argument accuracy:
     # the radii check must refuse rather than silently classify
-    fp = next(f for f in enumerate_fixed_points(spec_plane)
-              if f.address[0] == "Q")
-    out = classify(fp, 32, 4096)
-    assert out.classification == "Undetermined"
-    assert "raise_precision_to" in out.evidence["remediation"]
+    count, report = siegel_count(spec_plane, 32, 4096)
+    q_points = [fp for fp in report if fp.address[0] == "Q"]
+    assert count == 0 and len(q_points) == 3
+    for fp in q_points:
+        assert fp.classification == UNDETERMINED
+        assert "raise_precision_to" in fp.evidence["remediation"]
+
+
+def _lll_calls(spec):
+    # counted by code object, so a call through any binding counts
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is mau.lll_reduce.__code__:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        siegel_count(spec, 32, 512)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_one_lattice_reduction_decides_every_point(spec_plane, seq8,
+                                                   tmp_path):
+    assert _lll_calls(spec_plane) == 1
+    assert _lll_calls(surface_times_projective(seq8, 6, tmp_path)) == 1
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_surface_times_projective_space_counts(seq8, d, tmp_path):
+    # the paper's "arbitrarily many Siegel disks": one per cone of P^d
+    count, report = siegel_count(surface_times_projective(seq8, d, tmp_path),
+                                 32, 512)
+    assert count == d + 1
+    assert Counter(fp.classification for fp in report) == {
+        SIEGEL: d + 1, NONSIEGEL: d + 1}
+    for fp in report:
+        assert (fp.classification == SIEGEL) == (fp.address[0] == "Q")
+        if fp.address[0] == "Q":
+            # the sequence searched at bound s B, s = d on P^d
+            assert fp.evidence["bound"] == 32
+            assert fp.evidence["relation_audit"]["bound"] == 32 * d
+
+
+def test_a_verified_sequence_relation_is_a_witness_at_every_point(seq19_739):
+    # theta_2 planted as 2 theta_1 mod 1; the stored audit still reads
+    # no_relation, and classification must not trust it
+    seq = seq19_739.truncate(2)
+    first, second = seq.entries
+    planted = turns_mod1(int_combination([2], [first.argument_turns]),
+                         seq.precision_bits)
+    seq = replace(seq, entries=(first, replace(second, argument_turns=planted)))
+    assert seq.relation_audit.outcome == "no_relation"
+    spec = build_product_spec([("toric", "p1xp1")], seq)
+    count, report = siegel_count(spec, 32, 512)
+    assert count == 0 and len(report) == 4
+    for fp in report:
+        assert fp.classification == NONSIEGEL
+        m = fp.evidence["exponents"]
+        assert any(m)
+        residual = _residual_ball(list(fp.eigenvalue_arguments), m, 512)
+        assert residual.hi < mp.mpf(2) ** -(512 // 4)

@@ -2,7 +2,6 @@
 
 import math
 from fractions import Fraction
-from itertools import combinations
 
 import mpmath as mp
 import pytest
@@ -13,6 +12,8 @@ from salemforge.toric import (Cone, Fan, FanError,
                               IndependenceEvidenceMissing, TorusElement,
                               _cofactors, check_fan, det_int, dual_bases,
                               fixed_points, load_fan)
+
+from conftest import projective_fan
 
 SHIPPED = ["p1", "plane", "p1xp1", "hirzebruch1", "hirzebruch2",
            "hirzebruch3", "p3"]
@@ -126,18 +127,6 @@ def unimodular_matrices(draw):
         m[i] = [-x for x in m[i]] if i == j else [
             x + c * y for x, y in zip(m[i], m[j])]
     return tuple(map(tuple, m))
-
-
-def projective_fan(d, u=None):
-    """The fan of P^d: rays e_1..e_d and -(e_1 + ... + e_d), every
-    d-subset a cone, each ray mapped to ray . u when u is given; the
-    first cone's generators are the identity, or u."""
-    rays = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    rays.append((-1,) * d)
-    if u is not None:
-        rays = [tuple(sum(r[t] * u[t][j] for t in range(d)) for j in range(d))
-                for r in rays]
-    return Fan(dim=d, max_cones=tuple(map(Cone, combinations(rays, d))))
 
 
 @pytest.mark.parametrize("d", range(1, 7))
