@@ -109,28 +109,35 @@ def lll_reduce(rows: list[list[int]]
     """Integral LLL (Cohen, Alg. 2.6.7), delta = 99/100; returns (basis, B*).
 
     Keeps d[i] = det Gram(b_0..b_{i-1}) and lam[i][j] = d[j+1] mu[i][j],
-    both integers, and updates them in place under size reduction and
-    swaps.  Row k is fully size-reduced before its Lovasz test, and mu is
-    rounded half to even, so the reduced basis is the one a Gram-Schmidt
-    recomputation after every step would give.  B*_i = d[i+1] / d[i].
+    both integers.  Row i's d and lam are built from inner products with
+    the current basis when k first reaches it (k_max is the last row
+    built), and size reduction and swaps update them in place, a swap only
+    over rows up to k_max.  Row k is fully size-reduced before its Lovasz
+    test, and mu is rounded half to even, so the reduced basis is the one a
+    Gram-Schmidt recomputation after every step would give.  A dependent
+    row raises ValueError when first reached.  B*_i = d[i+1] / d[i].
     """
     b = [[int(x) for x in row] for row in rows]
     n = len(b)
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            u = sum(x * y for x, y in zip(b[i], b[j]))
-            for l in range(j):
-                u = (d[l + 1] * u - lam[i][l] * lam[j][l]) // d[l]
-            if j < i:
-                lam[i][j] = u
-            elif u == 0:
-                raise ValueError("lattice rows are linearly dependent")
-            else:
-                d[i + 1] = u
-    k = 1
+    k, k_max = 0, -1
     while k < n:
+        if k > k_max:
+            k_max = k
+            for j in range(k + 1):
+                u = sum(x * y for x, y in zip(b[k], b[j]))
+                for l in range(j):
+                    u = (d[l + 1] * u - lam[k][l] * lam[j][l]) // d[l]
+                if j < k:
+                    lam[k][j] = u
+                elif u == 0:
+                    raise ValueError("lattice rows are linearly dependent")
+                else:
+                    d[k + 1] = u
+            if k == 0:
+                k = 1
+                continue
         for j in range(k - 1, -1, -1):
             q, r = divmod(lam[k][j], d[j + 1])     # d > 0, so 0 <= r < d
             if 2 * r > d[j + 1] or (2 * r == d[j + 1] and q % 2):
@@ -142,14 +149,15 @@ def lll_reduce(rows: list[list[int]]
                     lam[k][l] -= q * lam[j][l]
         # Lovasz condition B_k >= (99/100 - mu^2) B_{k-1}, times d[k] d[k-1]
         lk = lam[k][k - 1]
-        if 100 * (d[k + 1] * d[k - 1] + lk * lk) >= 99 * d[k] * d[k]:
+        num = d[k + 1] * d[k - 1] + lk * lk
+        if 100 * num >= 99 * d[k] * d[k]:
             k += 1
             continue
         b[k - 1], b[k] = b[k], b[k - 1]
         for j in range(k - 1):
             lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
-        new_dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
-        for i in range(k + 1, n):
+        new_dk = num // d[k]
+        for i in range(k + 1, k_max + 1):
             t = lam[i][k]
             lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
             lam[i][k - 1] = (new_dk * t + lk * lam[i][k]) // d[k + 1]

@@ -262,8 +262,10 @@ class ToricFixedPoint(Report):
 
 def _has_independence_evidence(a: TorusElement,
                                audit: Optional[RelationReport]) -> bool:
-    if audit is not None:
-        return audit.outcome == "no_relation" and len(audit.arguments) >= a.dim
+    if audit is not None:   # an audit over these very coordinates, distinct
+        coords = set(a.arguments)
+        return (audit.outcome == "no_relation" and len(coords) == a.dim
+                and coords <= set(audit.arguments))
     return all(p.startswith("mau[") for p in a.provenance)
 
 
@@ -273,8 +275,8 @@ def fixed_points(fan: Fan, a: TorusElement,
     """Exactly one fixed point per maximal cone, with eigenvalue arguments.
 
     The exact count requires multiplicative independence of the
-    coordinates; enumeration refuses without a passing relation audit or
-    full sequence provenance.
+    coordinates; enumeration refuses without a passing relation audit over
+    these coordinates or full sequence provenance.
     """
     if fan.dim != a.dim:
         raise ValueError("fan and torus element dimensions differ")

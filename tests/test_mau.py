@@ -206,9 +206,20 @@ def _random_lattices(draw):
     return rows
 
 
+def _relation_rows(t, p):
+    """The lattice relation_search builds: rows (e_i, t_i), then (0, 2^p)."""
+    n = len(t)
+    rows = [[1 if j == i else 0 for j in range(n)] + [t[i]] for i in range(n)]
+    return rows + [[0] * n + [1 << p]]
+
+
+def _seeded_relation_rows(n, p, seed):
+    rng = random.Random(seed)
+    return _relation_rows([rng.randrange(1 << p) for _ in range(n)], p)
+
+
 @st.composite
 def _relation_lattices(draw):
-    """The lattice relation_search builds: rows (e_i, t_i), then (0, 2^p)."""
     n = draw(st.integers(1, 5))
     p = draw(st.sampled_from([32, 64, 128, 256]))
     t = [draw(st.integers(0, (1 << p) - 1)) for _ in range(n)]
@@ -216,8 +227,7 @@ def _relation_lattices(draw):
     if m[-1]:   # plant sum(m_i theta_i) = 0 mod 1 through the last slot
         t[-1] = round(Fraction(-sum(a * b for a, b in zip(m, t[:-1])),
                                m[-1])) % (1 << p)
-    rows = [[1 if j == i else 0 for j in range(n)] + [t[i]] for i in range(n)]
-    return rows + [[0] * n + [1 << p]]
+    return _relation_rows(t, p)
 
 
 _tie_lattices = st.integers(2, 4).flatmap(lambda n: st.lists(
@@ -237,6 +247,12 @@ def test_lll_matches_oracle_on_relation_lattices(rows):
     assert lll_reduce(rows) == _oracle_lll(rows)
 
 
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_lll_matches_oracle_on_larger_relation_lattices(n):
+    rows = _seeded_relation_rows(n, 32, seed=n)
+    assert lll_reduce(rows) == _oracle_lll(rows)
+
+
 # mu = 5/2, -3/2 and 1/2 round half to even; rounding half up would differ
 @example([[2, 0], [5, 1]])
 @example([[2, 0], [-3, 1]])
@@ -249,9 +265,16 @@ def test_lll_matches_oracle_on_small_entry_ties(rows):
     assert lll_reduce(rows) == _oracle_lll(rows)
 
 
+def _with_dependent_last_row(rows):
+    """rows plus 2 r0 - r1 + 3 r2, first reached after earlier swaps."""
+    return rows + [[2 * a - b + 3 * c for a, b, c in zip(*rows[:3])]]
+
+
 @pytest.mark.parametrize("rows", [[[0, 0]], [[1, 2], [2, 4]],
                                   [[1, 0], [0, 1], [1, 1]],
-                                  [[3, 1, 4], [1, 5, 9], [4, 6, 13]]])
+                                  [[3, 1, 4], [1, 5, 9], [4, 6, 13]],
+                                  _with_dependent_last_row(
+                                      _seeded_relation_rows(3, 32, seed=3))])
 def test_lll_rejects_dependent_rows(rows):
     with pytest.raises(ValueError):
         lll_reduce(rows)
@@ -409,6 +432,13 @@ def test_entries_and_audit(seq4):
         # on the unit circle by construction; containment of modulus 1
         a = e.value.abs_ball()
         assert a.lo <= 1 <= a.hi
+
+
+def test_audit_gaps_are_pinned(seq4, seq8):
+    # the printed gap is read off the reduced basis, so any change to the
+    # LLL trajectory moves these digits
+    assert seq4.relation_audit.gap == "3.565204048e-124"
+    assert seq8.relation_audit.gap == "7.566981586e-138"
 
 
 def test_truncation_keeps_prefix_and_certificates(seq4):

@@ -237,13 +237,18 @@ def test_surface_times_projective_space_counts(seq8, d, tmp_path):
 
 
 def test_a_verified_sequence_relation_is_a_witness_at_every_point(seq19_739):
-    # theta_2 planted as 2 theta_1 mod 1; the stored audit still reads
-    # no_relation, and classification must not trust it
+    # theta_2 planted as 2 theta_1 mod 1; the stored audit, over these
+    # arguments, still reads no_relation, and classification must not trust it
     seq = seq19_739.truncate(2)
     first, second = seq.entries
     planted = turns_mod1(int_combination([2], [first.argument_turns]),
                          seq.precision_bits)
-    seq = replace(seq, entries=(first, replace(second, argument_turns=planted)))
+    entries = (first, replace(second, argument_turns=planted))
+    with pytest.raises(toric.IndependenceEvidenceMissing):  # not theta_2's
+        build_product_spec([("toric", "p1xp1")], replace(seq, entries=entries))
+    stale = replace(seq.relation_audit,
+                    arguments=(first.argument_turns, planted))
+    seq = replace(seq, entries=entries, relation_audit=stale)
     assert seq.relation_audit.outcome == "no_relation"
     spec = build_product_spec([("toric", "p1xp1")], seq)
     count, report = siegel_count(spec, 32, 512)

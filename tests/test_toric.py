@@ -185,6 +185,18 @@ def test_fixed_points_refuses_without_evidence():
         fixed_points(load_fan("plane"), te, None)
 
 
+def test_fixed_points_refuses_an_audit_over_other_arguments():
+    te, audit = _independent_element(2)     # no_relation over te's own
+    with mp.workprec(600):
+        other = TorusElement.explicit([mp.sqrt(5) - 2, mp.sqrt(7) - 2])
+    with pytest.raises(IndependenceEvidenceMissing):
+        fixed_points(load_fan("plane"), other, audit)
+    repeated = TorusElement(dim=2, arguments=te.arguments[:1] * 2,
+                            provenance=("explicit", "explicit"))
+    with pytest.raises(IndependenceEvidenceMissing):     # theta_1 = theta_2
+        fixed_points(load_fan("plane"), repeated, audit)
+
+
 def test_degenerate_identity_element_rejected():
     te = TorusElement.explicit([Fraction(0), Fraction(0)])
     audit = relation_search(list(te.arguments), 8, 64)
