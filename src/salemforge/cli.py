@@ -245,8 +245,8 @@ def product():
 @_out_opt
 def product_classify(spec_file, precision, bound, out):
     spec = _spec_from_file(spec_file, precision)
-    count, points = siegel_count(spec, bound, precision)
-    entropy = product_entropy(spec, precision)
+    count, points = siegel_count(spec, bound)
+    entropy = product_entropy(spec)
     _emit({"spec": spec.to_json(),
            "fixed_points": [fp.to_json() for fp in points],
            "siegel_count": count,
@@ -261,7 +261,7 @@ def product_classify(spec_file, precision, bound, out):
 @_out_opt
 def product_entropy_cmd(spec_file, precision, out):
     spec = _spec_from_file(spec_file, precision)
-    entropy = product_entropy(spec, precision)
+    entropy = product_entropy(spec)
     _emit({"spec": spec.to_json(), "entropy": entropy.to_json()}, out,
           precision)
 

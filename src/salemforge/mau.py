@@ -188,25 +188,6 @@ class RelationReport(Report):
     gap: Optional[str] = None         # certified lower bound on any residual
     notes: tuple[str, ...] = _AUDIT_NOTES
 
-    @classmethod
-    def from_json(cls, data: dict, source) -> "RelationReport":
-        prec, raw, bound, outcome = json_fields(
-            data, source, precision_bits=int, arguments=list, bound=int,
-            outcome=str)
-        optional = {key: kind for key, kind in (
-            ("exponents", list), ("residual", dict), ("gap", str),
-            ("notes", list)) if data.get(key) is not None}
-        opt = dict(zip(optional, json_fields(data, source, **optional)))
-        res = opt.get("residual")
-        return cls(arguments=tuple(_ball_from_json(a, prec, source)
-                                   for a in raw),
-                   bound=bound, precision_bits=prec, outcome=outcome,
-                   exponents=(tuple(opt["exponents"])
-                              if opt.get("exponents") else None),
-                   residual=_ball_from_json(res, prec, source) if res else None,
-                   gap=opt.get("gap"),
-                   notes=tuple(opt.get("notes", _AUDIT_NOTES)))
-
 
 def _residual_ball(args: list[RealBall], m, precision_bits: int) -> RealBall:
     """Distance of sum(m_i theta_i) from the nearest integer, as a ball."""
@@ -369,10 +350,6 @@ class MAUSequence(Report):
             fh.write("\n")
 
 
-def _ball_from_json(data: dict, prec: int, source) -> RealBall:
-    return RealBall(*_ball_decimals(data, source, prec, "mid"))
-
-
 def _cball_from_json(data: dict, source) -> ComplexBall:
     prec, = json_fields(data, source, precision_bits=int)
     re, im, rad = _ball_decimals(data, source, prec, "re", "im")
@@ -415,8 +392,10 @@ def json_fields(data, source, **kinds) -> tuple:
 def load_sequence(path) -> MAUSequence:
     """Rebuild a sequence from its JSON dump.
 
-    Entries and the relation audit round-trip; extension certificates are
-    not reconstructed (re-derive them by re-running the build if needed).
+    Entries round-trip.  Extension certificates and the relation audit are
+    not read, so the sequence carries neither: re-run the build to
+    re-derive them, and run relation_search where independence evidence
+    is needed.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -427,12 +406,10 @@ def load_sequence(path) -> MAUSequence:
         value, turns, n, role = json_fields(
             e, path, value=dict, argument_turns=dict, source_n=int, role=str)
         entries.append(MAUEntry(value=_cball_from_json(value, path),
-                                argument_turns=_ball_from_json(turns, prec, path),
+                                argument_turns=RealBall(*_ball_decimals(
+                                    turns, path, prec, "mid")),
                                 source_n=n, role=role))
-    audit = (RelationReport.from_json(data["relation_audit"], path)
-             if data.get("relation_audit") is not None else None)
     return MAUSequence(entries=tuple(entries), degree_bound=bound,
-                       certificates=(), relation_audit=audit,
                        precision_bits=prec)
 
 

@@ -88,7 +88,10 @@ def build_product_spec(descriptors: list, joint_mau: MAUSequence,
     Each descriptor is ("mcmullen", n) or ("toric", fan name or path); a
     surface factor consumes its (alpha, beta) pair, a toric factor of
     dimension d consumes d coordinate entries.  The entries must be used
-    up exactly -- the construction requires one coherent sequence.
+    up exactly -- the construction requires one coherent sequence.  The
+    toric coordinates' independence evidence is a relation search run
+    here, at bound 32 and the sequence's precision, as mau_build audits;
+    the sequence's stored audit is never read.
     """
     if precision_bits is None:
         precision_bits = joint_mau.precision_bits
@@ -123,9 +126,11 @@ def build_product_spec(descriptors: list, joint_mau: MAUSequence,
                 raise SpecError("sequence exhausted before all factors filled")
             idx = tuple(range(cursor, cursor + d))
             element = TorusElement.from_mau(joint_mau, list(idx))
+            audit = relation_search(list(element.arguments), 32,
+                                    joint_mau.precision_bits)
             try:   # the fan is certified here, once
-                fixed = tuple(toric_fixed_points(
-                    fan, element, joint_mau.relation_audit, precision_bits))
+                fixed = tuple(toric_fixed_points(fan, element, audit,
+                                                 precision_bits))
             except FanError as exc:
                 raise SpecError(f"toric factor {desc[1]!r}: {exc}") from None
             factors.append(ToricFactor(fan=fan, element=element,
@@ -217,16 +222,14 @@ def classify(fp: FixedPoint, spec: ProductSpec,
                    evidence={**evidence, "note": _ANALYTIC_NOTE})
 
 
-def siegel_count(spec: ProductSpec, bound: int = 32,
-                 precision_bits: int | None = None) -> tuple[int, list[FixedPoint]]:
+def siegel_count(spec: ProductSpec,
+                 bound: int = 32) -> tuple[int, list[FixedPoint]]:
     """(number of arithmetic Siegel points, full classified report).
 
     One relation search over the sequence at bound s B decides every
     all-Q point (module docstring); an empty product runs none.
     Undetermined points appear in the report but are never counted.
     """
-    if precision_bits is None:
-        precision_bits = spec.precision_bits
     stretch = max((sum(map(abs, col)) for f in spec.factors
                    if isinstance(f, ToricFactor) for p in f.fixed
                    for col in zip(*p.dual_basis)), default=1)
@@ -234,7 +237,7 @@ def siegel_count(spec: ProductSpec, bound: int = 32,
     if spec.factors:
         try:
             search = relation_search(spec.joint_mau.arguments(),
-                                     bound * stretch, precision_bits)
+                                     bound * stretch, spec.precision_bits)
         except PrecisionTooLow as exc:
             search = exc
     report = [classify(fp, spec, search, bound)
@@ -248,7 +251,8 @@ def product_entropy(spec: ProductSpec,
     """Sum of log(eta) over surface factors; toric factors contribute 0.
 
     Each eta is the Salem number of E_n from the Pisot phase (phase_eta),
-    so no factor's phi is built or evaluated.
+    so no factor's phi is built or evaluated.  precision_bits is the
+    spec's unless given; only perfbench/make_inputs.py gives it.
     """
     if precision_bits is None:
         precision_bits = spec.precision_bits

@@ -260,30 +260,24 @@ class ToricFixedPoint(Report):
     eigenvalue_arguments: tuple[RealBall, ...]   # theta . K_i mod 1
 
 
-def _has_independence_evidence(a: TorusElement,
-                               audit: Optional[RelationReport]) -> bool:
-    if audit is not None:   # an audit over these very coordinates, distinct
-        coords = set(a.arguments)
-        return (audit.outcome == "no_relation" and len(coords) == a.dim
-                and coords <= set(audit.arguments))
-    return all(p.startswith("mau[") for p in a.provenance)
-
-
 def fixed_points(fan: Fan, a: TorusElement,
-                 independence: Optional[RelationReport] = None,
+                 independence: Optional[RelationReport],
                  precision_bits: int = 256) -> list[ToricFixedPoint]:
     """Exactly one fixed point per maximal cone, with eigenvalue arguments.
 
     The exact count requires multiplicative independence of the
-    coordinates; enumeration refuses without a passing relation audit over
-    these coordinates or full sequence provenance.
+    coordinates; enumeration refuses unless independence is a no_relation
+    search, run by the caller, whose arguments include each of the
+    element's distinct coordinates, ball for ball.
     """
     if fan.dim != a.dim:
         raise ValueError("fan and torus element dimensions differ")
-    if not _has_independence_evidence(a, independence):
+    coords = set(a.arguments)
+    if not (independence is not None and independence.outcome == "no_relation"
+            and len(coords) == a.dim and coords <= set(independence.arguments)):
         raise IndependenceEvidenceMissing(
             "coordinates lack certified multiplicative independence; "
-            "supply a no-relation audit or sequence provenance")
+            "supply a no-relation audit over them")
     out = []
     for p, k_mat in enumerate(dual_bases(fan)):
         eig = tuple(turns_mod1(int_combination(row, a.arguments), precision_bits)

@@ -1,5 +1,6 @@
 """Shared fixtures; the expensive pipeline artifacts are session-scoped."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ from salemforge import mcmullen
 from salemforge.coxeter import salem_factor
 from salemforge.mcmullen import mcmullen_data
 from salemforge.mau import mau_build, mau_seed
+from salemforge.roots import int_combination, turns_mod1
 from salemforge.toric import Cone, Fan
 
 
@@ -21,6 +23,16 @@ def projective_fan(d, u=None):
         rays = [tuple(sum(r[t] * u[t][j] for t in range(d)) for j in range(d))
                 for r in rays]
     return Fan(dim=d, max_cones=tuple(map(Cone, combinations(rays, d))))
+
+
+def doubled(seq, source, target):
+    """seq with entry target's argument replaced by 2 theta_source mod 1,
+    a planted relation; any stored audit is kept as it was."""
+    entries = list(seq.entries)
+    entries[target] = replace(entries[target], argument_turns=turns_mod1(
+        int_combination([2], [entries[source].argument_turns]),
+        seq.precision_bits))
+    return replace(seq, entries=tuple(entries))
 
 
 @pytest.fixture(autouse=True)

@@ -142,20 +142,20 @@ def test_08_relation_finder_soundness():
 def test_09_surface_times_toric_counts(seq19_739):
     spec = build_product_spec([("mcmullen", 19), ("toric", "plane")],
                               seq19_739)
-    count, report = siegel_count(spec, 32, 512)
+    count, report = siegel_count(spec)
     assert len(report) == 6 and count == 3
     assert sum(1 for fp in report if fp.classification == NONSIEGEL) == 3
     assert not any(fp.classification == "Undetermined" for fp in report)
 
     line = build_product_spec([("mcmullen", 19), ("toric", "p1")],
                               seq19_739.truncate(3))
-    count, report = siegel_count(line, 32, 512)
+    count, report = siegel_count(line)
     assert len(report) == 4 and count == 2
 
 
 def test_10_two_surface_product_counts(seq4):
     spec = build_product_spec([("mcmullen", 739), ("mcmullen", 3259)], seq4)
-    count, report = siegel_count(spec, 32, 512)
+    count, report = siegel_count(spec)
     assert len(report) == 4 and count == 1
     siegel = [fp for fp in report if fp.classification == SIEGEL]
     assert [fp.address for fp in siegel] == [("Q", "Q")]

@@ -11,6 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from salemforge import cli, mcmullen
+from salemforge.mau import load_sequence
+
+from conftest import doubled
 
 PHI_14 = [1, -1, 0, -1, 1, 0, 0, -1, 0, 0, 1, -1, 0, -1, 1]
 
@@ -61,7 +64,9 @@ def test_cli_import_leaves_numpy_unloaded(seq19_739, tmp_path):
                                 "mau": str(tmp_path / "seq19.json")}))
     seq = str(tmp_path / "seq.json")
     runs = [["mau", "build", "--length", "2", "--out", seq],
+            ["coxeter", "poly", "--n", "19"],
             ["coxeter", "factor", "--n", "19"],
+            ["coxeter", "oracle", "--n", "19"],
             ["mcmullen", "data", "--n", "739"],
             ["mcmullen", "certificate", "--n", "19"],
             ["mau", "audit", seq],
@@ -275,12 +280,10 @@ class SeqWith(tuple):
     (["product", "classify"], {**_SPEC, "factors": [{"type": "mcmullen"}]}, "n"),
     (["mau", "audit"], [1, 2], "precision_bits"),
     (["toric", "fixed-points", "plane", "--mau"], _SPEC, "precision_bits"),
-    # nested ball and audit objects that lack a key
+    # nested ball objects that lack a key
     (["mau", "audit"], {"precision_bits": 512, "degree_bound": 1, "entries": [
         {"value": {}, "argument_turns": {}, "source_n": 19, "role": "alpha"}]},
      "precision_bits"),
-    (["mau", "audit"], {"precision_bits": 512, "degree_bound": 1, "entries": [],
-                        "relation_audit": {"outcome": "x"}}, "precision_bits"),
 ])
 def test_malformed_input_file_is_a_validation_error(argv, content, key,
                                                     seq_file, tmp_path):
@@ -323,8 +326,6 @@ def test_malformed_input_file_is_a_validation_error(argv, content, key,
     (["mau", "audit", "IN"],
      SeqWith((["entries", 0, "argument_turns", "mid"], 5))),
     (["mau", "audit", "IN"], SeqWith((["entries", 0, "value", "re"], [1]))),
-    (["mau", "audit", "IN"], SeqWith((["relation_audit", "bound"], [3]))),
-    (["mau", "audit", "IN"], SeqWith((["relation_audit", "notes"], 5))),
     (["product", "classify", "IN"],
      {"factors": [{"type": "mcmullen", "n": [19]}], "mau": "SEQ"}),
     (["product", "classify", "IN"], {**_SPEC, "mau": 5}),
@@ -359,6 +360,43 @@ def test_malformed_shape_is_a_validation_error(argv, content, seq_file,
     report = json.loads(out)
     assert report["kind"] == "validation"
     assert f"{path}: " in report["error"]
+
+
+def test_a_stored_audit_is_not_read(seq_file, tmp_path):
+    # a sequence's relation_audit is not read, so not even a malformed one
+    # is refused: the file loads without it, and mau audit searches afresh
+    path, out = tmp_path / "seq.json", tmp_path / "audit.json"
+    for keys, value in ((["relation_audit"], {"outcome": "x"}),
+                        (["relation_audit", "bound"], [3]),
+                        (["relation_audit", "notes"], 5)):
+        path.write_text(json.dumps(SeqWith((keys, value)).applied_to(seq_file)))
+        assert load_sequence(path).relation_audit is None
+        assert cli.main(["mau", "audit", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["outcome"] == "no_relation"
+
+
+def test_dependent_toric_coordinates_are_refused_whatever_is_stored(
+        seq19_739, tmp_path, capsys):
+    # theta_1 = 2 theta_0 mod 1 under a null, a stale no_relation and a
+    # foreign stored audit: product classify refuses as toric
+    # fixed-points does
+    seq = doubled(seq19_739.truncate(2), 0, 1)
+    stale = replace(seq19_739.relation_audit, arguments=tuple(seq.arguments()))
+    path, spec = tmp_path / "seq.json", tmp_path / "spec.json"
+    spec.write_text(json.dumps({"factors": [{"type": "toric", "fan": "p1xp1"}],
+                                "mau": str(path)}))
+    for audit in (None, stale, seq19_739.relation_audit):
+        replace(seq, relation_audit=audit).dump(path)
+        stored = json.loads(path.read_text())["relation_audit"]
+        assert (stored is None) == (audit is None)
+        for argv in (["product", "classify", str(spec)],
+                     ["toric", "fixed-points", "p1xp1", "--mau", str(path)]):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(argv + ["--precision", "512"])
+            report = json.loads(capsys.readouterr().out)
+            assert exit_.value.code == 1, argv
+            assert report["kind"] == "validation"
+            assert report["type"] == "IndependenceEvidenceMissing"
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from salemforge.mau import (DegreeCertificateFailure, IndependenceFalsified,
-                            MAUSequence, PrecisionTooLow, RelationReport,
+                            MAUSequence, PrecisionTooLow,
                             d_of, is_prime, lll_reduce, load_sequence,
                             mau_build, mau_extend, mau_seed, n_of,
                             relation_search)
@@ -311,12 +311,6 @@ def test_precision_too_low_for_coarse_arguments():
     with pytest.raises(PrecisionTooLow) as e:
         relation_search([coarse, coarse], 32, 256)
     assert e.value.required_bits <= 40
-
-
-def test_relation_report_round_trip():
-    r = relation_search([Fraction(1, 3), Fraction(1, 6)], 32, 256)
-    again = RelationReport.from_json(r.to_json(), "round trip")
-    assert again.outcome == r.outcome and again.exponents == r.exponents
 
 
 def test_printed_gap_is_a_lower_bound(monkeypatch, seq4):

@@ -4,6 +4,7 @@ import json
 import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -16,9 +17,8 @@ from salemforge.product import (ProductSpec, SpecError, build_product_spec,
 from salemforge.coxeter import salem_factor
 from salemforge.mau import MAUSequence, _residual_ball
 from salemforge.mcmullen import IntegralityFailure
-from salemforge.roots import int_combination, turns_mod1
 
-from conftest import projective_fan
+from conftest import doubled, projective_fan
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +98,7 @@ def test_empty_product_has_one_fixed_point(seq19_739):
 
 
 def test_p_addresses_are_nonsiegel(spec_plane):
-    _, report = siegel_count(spec_plane, 32, 512)
+    _, report = siegel_count(spec_plane)
     p_points = [fp for fp in report if "P" in fp.address]
     assert len(p_points) == 3
     for fp in p_points:
@@ -107,7 +107,7 @@ def test_p_addresses_are_nonsiegel(spec_plane):
 
 
 def test_plane_product_counts(spec_plane):
-    count, report = siegel_count(spec_plane, 32, 512)
+    count, report = siegel_count(spec_plane)
     assert len(report) == 6
     assert count == 3
     assert sum(1 for fp in report if fp.classification == NONSIEGEL) == 3
@@ -117,17 +117,19 @@ def test_plane_product_counts(spec_plane):
 
 
 def test_double_factor_counts(spec_double):
-    count, report = siegel_count(spec_double, 32, 512)
+    count, report = siegel_count(spec_double)
     assert len(report) == 4 and count == 1
     siegel_addrs = [fp.address for fp in report
                     if fp.classification == SIEGEL]
     assert siegel_addrs == [("Q", "Q")]
 
 
-def test_chance_relation_is_undetermined_at_low_precision(spec_double):
+def test_chance_relation_is_undetermined_at_low_precision(seq4):
     # at 32 bits an exponent vector comes within 2^-8 of a relation by
     # chance alone: no verified relation, so Q x Q is not NonSiegel
-    count, report = siegel_count(spec_double, 32, 32)
+    spec = build_product_spec([("mcmullen", 739), ("mcmullen", 3259)], seq4,
+                              32)
+    count, report = siegel_count(spec)
     qq = next(fp for fp in report if fp.address == ("Q", "Q"))
     assert qq.classification == UNDETERMINED and count == 0
     assert qq.evidence["remediation"]["raise_precision_to"] > 32
@@ -142,8 +144,8 @@ def test_classification_invariant_under_reordering(seq4):
                           relation_audit=seq4.relation_audit,
                           precision_bits=seq4.precision_bits)
     rev = build_product_spec([("mcmullen", 3259), ("mcmullen", 739)], swapped)
-    _, rf = siegel_count(fwd, 32, 512)
-    _, rr = siegel_count(rev, 32, 512)
+    _, rf = siegel_count(fwd)
+    _, rr = siegel_count(rev)
     fwd_map = {fp.address: fp.classification for fp in rf}
     rev_map = {fp.address[::-1]: fp.classification for fp in rr}
     assert fwd_map == rev_map
@@ -186,10 +188,12 @@ def test_pure_toric_entropy_is_zero(seq19_739):
     assert e.mid == 0 and e.rad == 0
 
 
-def test_undetermined_on_coarse_precision(spec_plane):
+def test_undetermined_on_coarse_precision(seq19_739):
     # classify at a precision far above the stored argument accuracy:
     # the radii check must refuse rather than silently classify
-    count, report = siegel_count(spec_plane, 32, 4096)
+    spec = build_product_spec([("mcmullen", 19), ("toric", "plane")],
+                              seq19_739, 4096)
+    count, report = siegel_count(spec)
     q_points = [fp for fp in report if fp.address[0] == "Q"]
     assert count == 0 and len(q_points) == 3
     for fp in q_points:
@@ -208,7 +212,7 @@ def _lll_calls(spec):
 
     sys.setprofile(profile)
     try:
-        siegel_count(spec, 32, 512)
+        siegel_count(spec)
     finally:
         sys.setprofile(None)
     return calls
@@ -223,8 +227,7 @@ def test_one_lattice_reduction_decides_every_point(spec_plane, seq8,
 @pytest.mark.parametrize("d", range(1, 7))
 def test_surface_times_projective_space_counts(seq8, d, tmp_path):
     # the paper's "arbitrarily many Siegel disks": one per cone of P^d
-    count, report = siegel_count(surface_times_projective(seq8, d, tmp_path),
-                                 32, 512)
+    count, report = siegel_count(surface_times_projective(seq8, d, tmp_path))
     assert count == d + 1
     assert Counter(fp.classification for fp in report) == {
         SIEGEL: d + 1, NONSIEGEL: d + 1}
@@ -236,26 +239,39 @@ def test_surface_times_projective_space_counts(seq8, d, tmp_path):
             assert fp.evidence["relation_audit"]["bound"] == 32 * d
 
 
+def test_the_toric_gate_reads_no_stored_audit(seq19_739):
+    # theta_1 planted as 2 theta_0 mod 1; build_product_spec searches the
+    # toric coordinates itself, so no stored audit lets them through: none,
+    # a stale no_relation over these very arguments, or a foreign one
+    seq = doubled(seq19_739.truncate(2), 0, 1)
+    stale = replace(seq19_739.relation_audit, arguments=tuple(seq.arguments()))
+    assert stale.outcome == "no_relation"
+    for audit in (None, stale, seq19_739.relation_audit):
+        with pytest.raises(toric.IndependenceEvidenceMissing):
+            build_product_spec([("toric", "p1xp1")],
+                               replace(seq, relation_audit=audit))
+
+
 def test_a_verified_sequence_relation_is_a_witness_at_every_point(seq19_739):
-    # theta_2 planted as 2 theta_1 mod 1; the stored audit, over these
-    # arguments, still reads no_relation, and classification must not trust it
-    seq = seq19_739.truncate(2)
-    first, second = seq.entries
-    planted = turns_mod1(int_combination([2], [first.argument_turns]),
-                         seq.precision_bits)
-    entries = (first, replace(second, argument_turns=planted))
-    with pytest.raises(toric.IndependenceEvidenceMissing):  # not theta_2's
-        build_product_spec([("toric", "p1xp1")], replace(seq, entries=entries))
-    stale = replace(seq.relation_audit,
-                    arguments=(first.argument_turns, planted))
-    seq = replace(seq, entries=entries, relation_audit=stale)
-    assert seq.relation_audit.outcome == "no_relation"
-    spec = build_product_spec([("toric", "p1xp1")], seq)
-    count, report = siegel_count(spec, 32, 512)
-    assert count == 0 and len(report) == 4
-    for fp in report:
-        assert fp.classification == NONSIEGEL
-        m = fp.evidence["exponents"]
-        assert any(m)
-        residual = _residual_ball(list(fp.eigenvalue_arguments), m, 512)
-        assert residual.hi < mp.mpf(2) ** -(512 // 4)
+    # theta_2 planted as 2 theta_0 mod 1: the toric coordinates (theta_2,
+    # theta_3) stay independent, so the gate passes, and the sequence
+    # relation (2, 0, -1, 0) is a relation at every all-Q point
+    spec = build_product_spec([("mcmullen", 19), ("toric", "plane")],
+                              doubled(seq19_739, 0, 2))
+    count, report = siegel_count(spec)
+    assert count == 0 and len(report) == 6
+    assert all(fp.classification == NONSIEGEL for fp in report)
+    q_points = [fp for fp in report if fp.address[0] == "Q"]
+    assert [fp.evidence["exponents"] for fp in q_points] == [
+        [2, 0, -1, 0], [2, 0, 0, 1], [2, 0, 1, -1]]
+    for fp in q_points:
+        residual = _residual_ball(list(fp.eigenvalue_arguments),
+                                  fp.evidence["exponents"], 512)
+        assert residual.hi < mp.mpf(2) ** -128
+
+
+def test_only_mau_reads_a_sequence_audit():
+    # independence evidence is a search the caller runs, never a stored one
+    src = Path(toric.__file__).parent
+    for name in ("product", "toric", "cli"):
+        assert ".relation_audit" not in (src / f"{name}.py").read_text(), name
