@@ -326,6 +326,8 @@ def test_malformed_input_file_is_a_validation_error(argv, content, key,
     (["mau", "audit", "IN"],
      SeqWith((["entries", 0, "argument_turns", "mid"], 5))),
     (["mau", "audit", "IN"], SeqWith((["entries", 0, "value", "re"], [1]))),
+    (["mau", "audit", "IN"], SeqWith((["entries", 0, "role"], 5))),
+    (["mau", "audit", "IN"], SeqWith((["entries", 0], [1]))),
     (["product", "classify", "IN"],
      {"factors": [{"type": "mcmullen", "n": [19]}], "mau": "SEQ"}),
     (["product", "classify", "IN"], {**_SPEC, "mau": 5}),
